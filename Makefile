@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-escapes race race-short chaos exec-chaos serve-chaos obs-chaos calib-chaos ci bench bench-json cover figures examples clean
+.PHONY: all build test vet lint lint-escapes race race-short chaos exec-chaos serve-chaos obs-chaos calib-chaos e2ebench-check fuzz-smoke ci bench bench-json cover figures examples clean
 
 all: build lint test
 
 # What CI runs (.github/workflows/ci.yml): build, lint (go vet plus the
 # project's own hetvet suite), the full test suite, the race detector
-# in short mode, and the data-plane, serving, observability, and
-# calibration chaos suites.
-ci: build lint test race-short exec-chaos serve-chaos obs-chaos calib-chaos
+# in short mode, the data-plane, serving, observability, and
+# calibration chaos suites, and the end-to-end benchmark's own checks.
+ci: build lint test race-short exec-chaos serve-chaos obs-chaos calib-chaos e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -83,13 +83,27 @@ calib-chaos:
 	$(GO) test -race -count=1 -run 'Calib|Drift|PairDelay' \
 		./internal/calib/ ./internal/comm/ ./internal/faults/ ./internal/directory/
 
+# The end-to-end benchmark (e2ebench/, its own module over this one)
+# vetted and tested, so a facade change that breaks it fails here
+# rather than in a benchmark run.
+e2ebench-check:
+	cd e2ebench && $(GO) vet . && $(GO) test .
+
+# A short fuzzing pass over each directory wire decoder: the directory
+# protocol, the plan-service frames, and the calibration feed. Plain
+# `go test` runs only the seed corpora; this explores beyond them.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime 10s ./internal/directory/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanProtoDecode$$' -fuzztime 10s ./internal/directory/
+	$(GO) test -run '^$$' -fuzz '^FuzzCalibProtoDecode$$' -fuzztime 10s ./internal/directory/
+
 bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Machine-readable benchmark outputs: the figure sweeps (mean and p95
 # ratio-to-lower-bound per (P, algorithm) plus per-figure wall clock)
 # as bench.json, and the planning micro-benchmarks (cold plan, warm
-# replan, drift repair — plans/sec, mean and p95 ns/op, allocs/op,
+# replan, drift replan — plans/sec, mean and p95 ns/op, allocs/op,
 # warm-vs-cold speedup) as BENCH_plan.json. CI's bench job uploads
 # both as artifacts; EXPERIMENTS.md documents the schemas.
 bench-json:

@@ -18,16 +18,16 @@ import (
 
 // The -bench-json mode: in-process micro-benchmarks of the planning
 // hot paths, written as BENCH_plan.json so the performance trajectory
-// is tracked in-repo alongside the code. Three paths are measured at
-// each processor count:
+// is tracked in-repo alongside the code. Three paths of the production
+// repeated-exchange planner are measured at each processor count:
 //
-//   - cold-plan:    a from-scratch matching decomposition, the cost a
-//     repeated exchange pays on a cache miss;
-//   - warm-replan:  the steady-state repeated exchange through
-//     AllToAllRepeatedScratch — snapshot, model rebuild, cache
-//     recognition, render — the path the zero-alloc tests pin;
-//   - repair-drift: repeated exchanges over a drifting network, mixing
-//     incremental repairs with the occasional recompute.
+//   - cold-plan:    one plan with the communicator's default scheduler
+//     (open shop), the cost a repeated exchange pays on a cache miss;
+//   - warm-replan:  the steady-state AllToAllRepeated call — snapshot,
+//     model rebuild into a pooled buffer, cache recognition — the path
+//     the zero-alloc tests pin;
+//   - drift-replan: AllToAllRepeated over a drifting network, where
+//     every call misses the cache and replans.
 //
 // The timing loop is self-contained (no testing.B) so the numbers
 // carry per-iteration samples: mean and p95 ns/op, plans/sec, and
@@ -116,10 +116,8 @@ func measureBench(name string, p int, op func()) benchEntry {
 }
 
 // driftedPerfs builds a cycle of performance tables where consecutive
-// tables differ on about p/4 pairs by ±30% — enough to dirty a
-// minority of steps, so repairs actually repair instead of recomputing
-// (the cycle's wrap-around transition accumulates every change and
-// exercises the recompute fallback too).
+// tables differ on about p/4 pairs by ±30%, so every replan sees a
+// changed cost matrix.
 func driftedPerfs(rng *rand.Rand, base *netmodel.Perf, p, hist int) []*netmodel.Perf {
 	perfs := make([]*netmodel.Perf, hist)
 	perfs[0] = base
@@ -156,9 +154,8 @@ func runBenchPlan(path string) error {
 	for _, p := range ps {
 		rng := rand.New(rand.NewSource(int64(p) * 9176))
 		gcfg := netmodel.GustoGuided()
-		// Asymmetric tables are tie-free, which keeps the warm-start
-		// certificate on its hit path (symmetric tables hold exactly
-		// tied matchings the certificate refuses to predict).
+		// Asymmetric tables, as in every earlier BENCH_plan.json, keep
+		// the trajectory comparable across versions.
 		gcfg.Symmetric = false
 		perf := netmodel.RandomPerf(rng, p, gcfg)
 		sizes := model.UniformSizes(p, 1<<16)
@@ -173,21 +170,21 @@ func runBenchPlan(path string) error {
 			}
 		}
 
+		scheduler := sched.NewOpenShop()
 		cold := measureBench("cold-plan", p, func() {
-			_, e := sched.MaxMatching{}.Schedule(m)
+			_, e := scheduler.Schedule(m)
 			record(e)
 		})
 
 		t0 := time.Unix(0, 0)
 		steady, err := comm.New(p,
 			func() (*netmodel.Perf, error) { return perf, nil },
-			comm.Config{Clock: func() time.Time { return t0 }})
+			comm.Config{Scheduler: scheduler, Clock: func() time.Time { return t0 }})
 		if err != nil {
 			return err
 		}
-		var sc comm.PlanScratch
 		warm := measureBench("warm-replan", p, func() {
-			_, e := steady.AllToAllRepeatedScratch(sizes, &sc)
+			_, e := steady.AllToAllRepeated(sizes)
 			record(e)
 		})
 
@@ -195,22 +192,21 @@ func runBenchPlan(path string) error {
 		idx := 0
 		drifting, err := comm.New(p,
 			func() (*netmodel.Perf, error) { idx++; return perfs[idx%len(perfs)], nil },
-			comm.Config{Clock: func() time.Time { return t0 }})
+			comm.Config{Scheduler: scheduler, Clock: func() time.Time { return t0 }})
 		if err != nil {
 			return err
 		}
-		var scDrift comm.PlanScratch
-		repair := measureBench("repair-drift", p, func() {
-			_, e := drifting.AllToAllRepeatedScratch(sizes, &scDrift)
+		drift := measureBench("drift-replan", p, func() {
+			_, e := drifting.AllToAllRepeated(sizes)
 			record(e)
 		})
 		if opErr != nil {
 			return opErr
 		}
-		rep.Entries = append(rep.Entries, cold, warm, repair)
+		rep.Entries = append(rep.Entries, cold, warm, drift)
 		rep.Speedups = append(rep.Speedups, benchSpeedup{P: p, Speedup: cold.MeanNsOp / warm.MeanNsOp})
-		fmt.Printf("bench p=%-3d cold %.0f ns/op (%.1f allocs)  warm %.0f ns/op (%.1f allocs)  repair %.0f ns/op  warm-vs-cold %.1f×\n",
-			p, cold.MeanNsOp, cold.AllocsOp, warm.MeanNsOp, warm.AllocsOp, repair.MeanNsOp, cold.MeanNsOp/warm.MeanNsOp)
+		fmt.Printf("bench p=%-3d cold %.0f ns/op (%.1f allocs)  warm %.0f ns/op (%.1f allocs)  drift %.0f ns/op  warm-vs-cold %.1f×\n",
+			p, cold.MeanNsOp, cold.AllocsOp, warm.MeanNsOp, warm.AllocsOp, drift.MeanNsOp, cold.MeanNsOp/warm.MeanNsOp)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

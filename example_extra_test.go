@@ -8,7 +8,7 @@ import (
 )
 
 // ExampleCommunicator plans repeated exchanges from directory
-// snapshots, repairing incrementally while the network holds still.
+// snapshots, serving the cached plan while the network holds still.
 func ExampleCommunicator() {
 	comm, err := hetsched.NewCommunicator(5, hetsched.StaticCommSource(hetsched.Gusto()), hetsched.CommConfig{})
 	if err != nil {
@@ -23,12 +23,12 @@ func ExampleCommunicator() {
 		fmt.Printf("round %d: %s, ratio %.3f\n", round, r.Algorithm, comm.Quality(r))
 	}
 	st := comm.Stats()
-	fmt.Printf("plans=%d repairs=%d\n", st.Plans, st.Repairs)
+	fmt.Printf("plans=%d cache hits=%d\n", st.Plans, st.Repairs)
 	// Output:
-	// round 0: maxmatch, ratio 1.018
-	// round 1: maxmatch+repair, ratio 1.018
-	// round 2: maxmatch+repair, ratio 1.018
-	// plans=1 repairs=2
+	// round 0: openshop, ratio 1.000
+	// round 1: openshop, ratio 1.000
+	// round 2: openshop, ratio 1.000
+	// plans=1 cache hits=2
 }
 
 // ExampleBruck shows the combine-and-forward alternative: fewer

@@ -552,7 +552,7 @@ type BruckResult = indirect.Result
 var Bruck = indirect.Bruck
 
 // Application-level communicator (plans collectives from directory
-// snapshots and repairs repeated exchanges incrementally).
+// snapshots and serves repeated exchanges from a plan cache).
 type (
 	// Communicator plans network-aware collective communication.
 	Communicator = comm.Communicator

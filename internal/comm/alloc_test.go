@@ -9,13 +9,10 @@ import (
 	"hetsched/internal/netmodel"
 )
 
-// TestRepeatedScratchZeroAlloc is the end-to-end half of the
-// zero-alloc acceptance criterion: a steady-state repeated exchange at
-// P = 50 — source snapshot, model build, cache recognition, schedule
-// render, result assembly — must not touch the heap. The sched- and
-// incremental-level tests localize a failure here to their layer; this
-// test is the one that guards the composed hot path users actually
-// call.
+// TestRepeatedScratchZeroAlloc is the zero-alloc acceptance criterion
+// for the repeated-exchange cache hit: a steady-state AllToAllRepeated
+// at P = 50 — source snapshot, model build into a pooled scratch
+// matrix, cache recognition — must not touch the heap.
 func TestRepeatedScratchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		// -race instrumentation changes escape analysis; allocation
@@ -38,20 +35,22 @@ func TestRepeatedScratchZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := model.UniformSizes(n, 1<<16)
-	var sc PlanScratch
 	for i := 0; i < 2; i++ {
-		if _, err := c.AllToAllRepeatedScratch(sizes, &sc); err != nil {
+		if _, err := c.AllToAllRepeated(sizes); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := c.AllToAllRepeatedScratch(sizes, &sc); err != nil {
+		if _, err := c.AllToAllRepeated(sizes); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state AllToAllRepeatedScratch at P=%d: %v allocs/op, want 0 — "+
-			"the warm replan hot path regressed; check PlanScratch buffer reuse, "+
-			"telemetry closure gating, and the Equal short circuits", n, allocs)
+		t.Fatalf("steady-state AllToAllRepeated at P=%d: %v allocs/op, want 0 — "+
+			"the cache hit regressed; check the pooled matrix buffer "+
+			"and the Equal short circuits", n, allocs)
+	}
+	if st := c.Stats(); st.Plans != 1 {
+		t.Fatalf("stats = %+v, want every call after the first to hit the cache", st)
 	}
 }

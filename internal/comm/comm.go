@@ -3,10 +3,9 @@
 // application level" (Section 1). A Communicator owns a source of
 // network performance (a directory snapshotting function), plans
 // collective operations on demand, and — for the sensor-style
-// applications of Section 6.2 that repeat the same exchange — reuses
-// and incrementally repairs previous schedules instead of recomputing
-// them, falling back to a full recomputation when the network has
-// drifted too far.
+// applications of Section 6.2 that repeat the same exchange — serves
+// the previous plan again while the cost model holds still, replanning
+// only when the network has moved.
 package comm
 
 import (
@@ -23,7 +22,6 @@ import (
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 	"hetsched/internal/sched"
-	"hetsched/internal/timing"
 )
 
 // Source supplies current network performance — typically
@@ -38,18 +36,9 @@ func StaticSource(perf *netmodel.Perf) Source {
 
 // Config tunes a Communicator.
 type Config struct {
-	// Scheduler plans total exchanges; nil selects open shop.
+	// Scheduler plans total exchanges, one-shot and repeated alike;
+	// nil selects open shop.
 	Scheduler sched.Scheduler
-	// RepairScheduler plans the step schedules used for incremental
-	// repair; nil selects max matching.
-	RepairScheduler sched.Scheduler
-	// RepairThreshold is the relative per-pair cost change that marks
-	// a step dirty during repair; 0 selects 0.1.
-	RepairThreshold float64
-	// RecomputeFraction: when more than this fraction of the repair
-	// schedule's steps are dirty, repairing saves nothing — recompute
-	// from scratch instead. 0 selects 0.5.
-	RecomputeFraction float64
 	// StaleBound is the fallback ladder's staleness budget: when the
 	// source fails, a cached snapshot no older than this is used before
 	// falling all the way to the uniform baseline. 0 selects
@@ -62,7 +51,7 @@ type Config struct {
 	// time.Now. Tests inject a fake clock here.
 	Clock func() time.Time
 	// Metrics registers the communicator's planning and fallback-ladder
-	// instruments (plans/repairs/recomputes, per-rung serve counters,
+	// instruments (plans, cache hits and drops, per-rung serve counters,
 	// rung transitions, plan-time and per-algorithm schedule-quality
 	// histograms) in this registry. Nil disables metrics: every hook
 	// degrades to a nil-pointer no-op.
@@ -96,10 +85,14 @@ type Config struct {
 // Stats counts what the communicator did. When Config.Metrics is set,
 // every field is mirrored into the registry (hetsched_comm_*_total and
 // hetsched_ladder_served_total) so the same numbers appear on /metrics.
+//
+// Repairs and Recomputes are the metric and field names readers of
+// these counters already use; they count the repeated-exchange plan
+// cache's hits and drops.
 type Stats struct {
-	Plans      int // schedules computed from scratch
-	Repairs    int // schedules produced by incremental repair
-	Recomputes int // repairs abandoned for a full recompute
+	Plans      int // schedules computed
+	Repairs    int // repeated exchanges served unchanged from the plan cache
+	Recomputes int // cached plans dropped because the cost matrix changed
 
 	// Fallback-ladder counters: which rung served each exchange.
 	ServedFresh    int // planned from a live snapshot
@@ -123,24 +116,21 @@ type Communicator struct {
 	cfg    Config
 	tel    commTelemetry
 
-	// repairName is RepairScheduler.Name()+"+repair", precomputed so
-	// serving a repaired schedule does not build a string per call.
-	repairName string
-	// scratch pools PlanScratch values for AllToAllRepeated, whose
-	// callers receive heap-owned results and so cannot hold a scratch
-	// across calls themselves. Pooling is what lets concurrent repeated
-	// calls keep warm planner state without serializing on one scratch.
-	scratch sync.Pool
+	// matrices pools the cost-matrix buffers AllToAllRepeated builds
+	// each snapshot into, so a cache hit allocates nothing. A buffer
+	// returns to the pool unless a miss installs it as the cache's
+	// matrix.
+	matrices sync.Pool
 
 	mu sync.Mutex // guards the fields below
-	// cached state for AllToAllRepeated. planGen is bumped by
-	// Invalidate; a plan or repair may only install (or serve a repair
-	// of) cached state whose generation it observed, so a repair racing
-	// an Invalidate can never serve a schedule descended from the
-	// just-dropped plan.
+	// The repeated-exchange plan cache: the last plan and the matrix it
+	// was computed for. Neither is mutated once cached. planGen is
+	// bumped by Invalidate; a plan installs, and a hit counts, only
+	// under the generation it observed, so a plan that raced an
+	// Invalidate is served but never cached.
 	planGen    uint64
 	lastMatrix *model.Matrix
-	lastSteps  *timing.StepSchedule
+	lastResult *sched.Result
 	stats      Stats
 	// fallback-ladder state
 	lastPerf   *netmodel.Perf // last table the source served successfully
@@ -159,21 +149,6 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = sched.NewOpenShop()
 	}
-	if cfg.RepairScheduler == nil {
-		cfg.RepairScheduler = sched.MaxMatching{}
-	}
-	if cfg.RepairThreshold == 0 {
-		cfg.RepairThreshold = 0.1
-	}
-	if cfg.RepairThreshold < 0 {
-		return nil, fmt.Errorf("comm: negative repair threshold")
-	}
-	if cfg.RecomputeFraction == 0 {
-		cfg.RecomputeFraction = 0.5
-	}
-	if cfg.RecomputeFraction < 0 || cfg.RecomputeFraction > 1 {
-		return nil, fmt.Errorf("comm: recompute fraction %g outside [0,1]", cfg.RecomputeFraction)
-	}
 	if cfg.StaleBound == 0 {
 		cfg.StaleBound = DefaultStaleBound
 	}
@@ -190,10 +165,8 @@ func New(n int, source Source, cfg Config) (*Communicator, error) {
 	if cfg.CalibSink != nil && cfg.Calibrator == nil {
 		return nil, fmt.Errorf("comm: calibration sink set without a calibrator to drain")
 	}
-	c := &Communicator{n: n, source: source, cfg: cfg,
-		tel:        newCommTelemetry(cfg.Metrics, cfg.Tracer),
-		repairName: cfg.RepairScheduler.Name() + "+repair"}
-	c.scratch.New = func() any { return new(PlanScratch) }
+	c := &Communicator{n: n, source: source, cfg: cfg, tel: newCommTelemetry(cfg.Metrics, cfg.Tracer)}
+	c.matrices.New = func() any { return new(model.Matrix) }
 	return c, nil
 }
 
@@ -215,20 +188,21 @@ func (c *Communicator) Stats() Stats {
 	return c.stats
 }
 
-// snapshotMatrix runs the fallback ladder: a fresh source snapshot,
-// then the cached last-known-good table if it is within StaleBound,
-// then the uniform baseline model. It returns the cost matrix and the
-// rung that produced it; an error is returned only for caller bugs
-// (shape mismatches) or a broken source contract — never for a mere
-// source outage, which the ladder absorbs.
-func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health, error) {
+// snapshotInto runs the fallback ladder, building the cost matrix
+// into dst: a fresh source snapshot, then the cached last-known-good
+// table if it is within StaleBound, then the uniform baseline model. It
+// returns the rung that produced the matrix; an error is returned only
+// for caller bugs (shape mismatches) or a broken source contract —
+// never for a mere source outage, which the ladder absorbs. dst is
+// resized as needed and allocates only when it must grow.
+func (c *Communicator) snapshotInto(dst *model.Matrix, sizes *model.Sizes) (Health, error) {
 	if sizes.N() != c.n {
-		return nil, HealthOK, fmt.Errorf("comm: sizes are for %d processors, communicator for %d", sizes.N(), c.n)
+		return HealthOK, fmt.Errorf("comm: sizes are for %d processors, communicator for %d", sizes.N(), c.n)
 	}
 	perf, err := c.source()
 	if err == nil {
 		if perf.N() != c.n {
-			return nil, HealthOK, fmt.Errorf("comm: directory reports %d processors, want %d", perf.N(), c.n)
+			return HealthOK, fmt.Errorf("comm: directory reports %d processors, want %d", perf.N(), c.n)
 		}
 		c.mu.Lock()
 		// An unchanged table keeps the existing cached clone; only the
@@ -240,8 +214,7 @@ func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health
 		}
 		c.lastPerfAt = c.cfg.Clock()
 		c.mu.Unlock()
-		m, err := model.Build(c.calibrated(perf), sizes)
-		return m, HealthOK, err
+		return HealthOK, model.BuildInto(dst, c.calibrated(perf), sizes)
 	}
 	// Rung 2: the cached table, while it is young enough to beat
 	// guessing. Cached tables are never mutated, so reading outside the
@@ -250,13 +223,11 @@ func (c *Communicator) snapshotMatrix(sizes *model.Sizes) (*model.Matrix, Health
 	cached, at := c.lastPerf, c.lastPerfAt
 	c.mu.Unlock()
 	if cached != nil && c.cfg.StaleBound > 0 && c.cfg.Clock().Sub(at) <= c.cfg.StaleBound {
-		m, err := model.Build(c.calibrated(cached), sizes)
-		return m, HealthStale, err
+		return HealthStale, model.BuildInto(dst, c.calibrated(cached), sizes)
 	}
 	// Rung 3: no usable knowledge; the uniform model still yields a
 	// valid, contention-free schedule structure.
-	m, berr := model.Build(uniformPerf(c.n), sizes)
-	return m, HealthDegraded, berr
+	return HealthDegraded, model.BuildInto(dst, uniformPerf(c.n), sizes)
 }
 
 // noteServed records the rung that served an exchange — in the stats,
@@ -302,13 +273,34 @@ func rungEvent(h Health) string {
 	return "served_unknown"
 }
 
-// tagResult marks a result produced below the fresh rung.
+// tagResult marks a result produced below the fresh rung. It never
+// mutates r, which may be the repeated-exchange cache's own value:
+// below the fresh rung it returns a tagged copy.
 func tagResult(r *sched.Result, h Health) *sched.Result {
-	if h != HealthOK {
-		//hetvet:ignore hotpath the tag concatenates only below the fresh rung; the steady state returns r unchanged
-		r.Algorithm += "+" + h.String()
+	if h == HealthOK {
+		return r
 	}
-	return r
+	//hetvet:ignore hotpath the copy and tag happen only below the fresh rung; the steady state returns r unchanged
+	tagged := *r
+	//hetvet:ignore hotpath the copy and tag happen only below the fresh rung; the steady state returns r unchanged
+	tagged.Algorithm += "+" + h.String()
+	return &tagged
+}
+
+// plan schedules m with the configured scheduler — or, on the degraded
+// rung, with the blind baseline — and counts the plan.
+//
+//hetvet:coldpath planning allocates by design; the repeated path reaches it only on a cache miss
+func (c *Communicator) plan(ctx context.Context, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
+	scheduler := c.cfg.Scheduler
+	if h == HealthDegraded {
+		scheduler = c.cfg.BaselineScheduler
+	}
+	c.mu.Lock()
+	c.stats.Plans++
+	c.mu.Unlock()
+	c.tel.plans.Inc()
+	return c.timedSchedule(ctx, scheduler, m, h, kind)
 }
 
 // AllToAll plans a one-shot total exchange from a fresh directory
@@ -335,24 +327,26 @@ func (c *Communicator) AllToAllHealth(sizes *model.Sizes) (*sched.Result, Health
 // recorded as a span on that request's tree, and flight-recorder
 // events are tagged with its trace ID.
 func (c *Communicator) AllToAllHealthCtx(ctx context.Context, sizes *model.Sizes) (*sched.Result, Health, error) {
-	m, h, err := c.snapshotMatrix(sizes)
+	r, _, h, err := c.planOneShot(ctx, sizes, "oneshot")
+	return r, h, err
+}
+
+// planOneShot is the one-shot path AllToAllHealthCtx and ExecuteCtx
+// share: a snapshot through the fallback ladder into a new matrix, a
+// plan, and the served rung noted. It returns the matrix the plan was
+// computed for alongside the tagged result.
+func (c *Communicator) planOneShot(ctx context.Context, sizes *model.Sizes, kind string) (*sched.Result, *model.Matrix, Health, error) {
+	m := new(model.Matrix)
+	h, err := c.snapshotInto(m, sizes)
 	if err != nil {
-		return nil, h, err
+		return nil, nil, h, err
 	}
-	scheduler := c.cfg.Scheduler
-	if h == HealthDegraded {
-		scheduler = c.cfg.BaselineScheduler
-	}
-	c.mu.Lock()
-	c.stats.Plans++
-	c.mu.Unlock()
-	c.tel.plans.Inc()
-	r, err := c.timedSchedule(ctx, scheduler, m, h, "oneshot")
+	r, err := c.plan(ctx, m, h, kind)
 	if err != nil {
-		return nil, h, err
+		return nil, nil, h, err
 	}
 	c.noteServed(ctx, h)
-	return tagResult(r, h), h, nil
+	return tagResult(r, h), m, h, nil
 }
 
 // AllToAllBatch plans one total exchange per size vector concurrently
@@ -410,70 +404,101 @@ func (c *Communicator) AllToAllBatch(sizes []*model.Sizes, workers int) ([]*sche
 	return out, nil
 }
 
-// AllToAllRepeated plans a total exchange for a workload that repeats:
-// the first call computes a step decomposition; later calls query the
-// directory and repair only the steps whose event costs drifted past
-// the threshold, recomputing from scratch when most steps are dirty.
-// The returned result always reflects current network conditions.
+// AllToAllRepeated plans a total exchange for a workload that repeats
+// (Section 6.2). Every call takes a snapshot through the fallback
+// ladder and builds the cost matrix. When the matrix equals the one the
+// cached plan was computed for, the cached plan is served again;
+// otherwise the configured Scheduler plans afresh and the new plan
+// replaces the cache. The returned result always reflects current
+// network conditions.
 //
-// Planning and repair run outside the cache mutex (schedulers and
-// incremental.Refine never mutate their inputs), so concurrent
-// repeated calls plan in parallel; each install is atomic and
-// generation-checked, so a repair that raced an Invalidate is
-// discarded — never served, never cached — and the call replans from
-// scratch instead.
+// Results are shared, not copied: a fresh-rung call returns the cached
+// value itself, the same one earlier and later calls return, so callers
+// must treat the result — its Schedule and Steps included — as
+// read-only. Below the fresh rung the result is a tagged copy, and
+// degraded-rung plans, built from the uniform model, never enter the
+// cache.
+//
+// Planning runs outside the cache mutex, so concurrent repeated calls
+// plan in parallel; each install is generation-checked, so a plan that
+// raced an Invalidate is served but never cached.
+//
+//hetvet:hotpath the cache hit is allocation-free (see TestRepeatedScratchZeroAlloc)
 func (c *Communicator) AllToAllRepeated(sizes *model.Sizes) (*sched.Result, error) {
-	// The heavy lifting happens in the scratch core on a pooled
-	// PlanScratch, which carries warm solver state and reusable buffers
-	// between calls. The result is detached from scratch memory before
-	// the scratch returns to the pool; the cached steps it may share
-	// with the communicator are never mutated, so handing them to the
-	// caller is safe.
-	sc := c.scratch.Get().(*PlanScratch)
-	r, err := c.AllToAllRepeatedScratch(sizes, sc)
+	m := c.matrices.Get().(*model.Matrix)
+	h, err := c.snapshotInto(m, sizes)
 	if err != nil {
-		c.scratch.Put(sc)
+		c.matrices.Put(m)
 		return nil, err
 	}
-	out := &sched.Result{
-		Algorithm:  r.Algorithm,
-		Steps:      r.Steps,
-		Schedule:   r.Schedule,
-		LowerBound: r.LowerBound,
+	c.mu.Lock()
+	gen, last, cached := c.planGen, c.lastMatrix, c.lastResult
+	c.mu.Unlock()
+	switch {
+	case h == HealthDegraded || last == nil:
+		// nothing to reuse: a blind plan never touches the cache
+	case !last.Equal(m):
+		c.mu.Lock()
+		c.stats.Recomputes++
+		c.mu.Unlock()
+		c.tel.recomputes.Inc()
+	default:
+		c.mu.Lock()
+		hit := c.planGen == gen // an Invalidate since the read drops the cached plan
+		if hit {
+			c.stats.Repairs++
+		}
+		c.mu.Unlock()
+		if hit {
+			c.matrices.Put(m)
+			c.tel.repairs.Inc()
+			c.noteServed(context.Background(), h)
+			return tagResult(cached, h), nil
+		}
 	}
-	if out.Schedule == &sc.schedule {
-		out.Schedule = out.Schedule.Clone()
-	}
-	c.scratch.Put(sc)
-	return out, nil
+	return c.planRepeated(m, h, gen)
 }
 
-// installRepaired publishes a repaired schedule into the cache iff the
-// plan generation is still the one the repair was computed under. It
-// reports whether the install happened; on false the repair must not
-// be served.
-func (c *Communicator) installRepaired(gen uint64, m *model.Matrix, repaired *timing.StepSchedule) bool {
+// planRepeated is AllToAllRepeated's cache miss: plan m, and install
+// the plan with m as its key unless m came from the uniform model or an
+// Invalidate intervened. Either way m's buffer has an owner afterwards —
+// the cache or the pool.
+//
+//hetvet:coldpath a cache miss plans cold; the scheduler allocates by design
+func (c *Communicator) planRepeated(m *model.Matrix, h Health, gen uint64) (*sched.Result, error) {
+	r, err := c.plan(context.Background(), m, h, "repeated")
+	if err != nil || h == HealthDegraded || !c.install(gen, m, r) {
+		c.matrices.Put(m)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.noteServed(context.Background(), h)
+	return tagResult(r, h), nil
+}
+
+// install publishes a plan and its matrix into the cache iff the plan
+// generation is still gen, and reports whether it did.
+func (c *Communicator) install(gen uint64, m *model.Matrix, r *sched.Result) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.planGen != gen {
 		return false
 	}
-	c.stats.Repairs++
-	c.lastMatrix = m
-	c.lastSteps = repaired
+	c.lastMatrix, c.lastResult = m, r
 	return true
 }
 
-// Invalidate drops the cached schedule so the next repeated call
-// replans from scratch. Bumping the plan generation also dooms any
-// repair in flight: its generation-checked install will fail and the
-// caller will replan instead of serving the invalidated lineage.
+// Invalidate drops the cached plan so the next repeated call replans
+// from scratch. Bumping the plan generation also dooms any plan in
+// flight: its generation-checked install fails, so the dropped cache
+// is never refilled from before the Invalidate.
 func (c *Communicator) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.planGen++
 	c.lastMatrix = nil
-	c.lastSteps = nil
+	c.lastResult = nil
 }
 
 // Quality returns a result's completion relative to its lower bound
@@ -498,8 +523,8 @@ func (c *Communicator) Drifted(sizes *model.Sizes) (float64, error) {
 	}
 	// Drift is measured against whatever rung the ladder serves; a
 	// degraded (uniform) matrix legitimately reads as heavy drift.
-	m, _, err := c.snapshotMatrix(sizes)
-	if err != nil {
+	m := new(model.Matrix)
+	if _, err := c.snapshotInto(m, sizes); err != nil {
 		return 0, err
 	}
 	worst := 0.0

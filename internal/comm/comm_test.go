@@ -9,7 +9,6 @@ import (
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
-	"hetsched/internal/sched"
 )
 
 func newComm(t *testing.T, perf *netmodel.Perf, cfg Config) *Communicator {
@@ -27,12 +26,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(5, nil, Config{}); err == nil {
 		t.Error("nil source accepted")
-	}
-	if _, err := New(5, StaticSource(netmodel.Gusto()), Config{RepairThreshold: -1}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := New(5, StaticSource(netmodel.Gusto()), Config{RecomputeFraction: 2}); err == nil {
-		t.Error("fraction > 1 accepted")
 	}
 }
 
@@ -98,6 +91,10 @@ func TestAllToAllSourceShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestRepeatedStableNetworkRepairsCheaply pins the steady state of the
+// repeated-exchange cache: on an unchanged network the first call plans
+// with the configured scheduler and every later call serves that very
+// result again, counted in Stats.Repairs.
 func TestRepeatedStableNetworkRepairsCheaply(t *testing.T) {
 	c := newComm(t, netmodel.Gusto(), Config{})
 	sizes := model.UniformSizes(5, 1<<20)
@@ -105,23 +102,23 @@ func TestRepeatedStableNetworkRepairsCheaply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Algorithm != "maxmatch" {
-		t.Errorf("first plan should be the repair scheduler, got %q", first.Algorithm)
+	if first.Algorithm != "openshop" {
+		t.Errorf("first plan should come from the configured scheduler, got %q", first.Algorithm)
+	}
+	if err := first.Schedule.ValidateTotalExchange(nil); err != nil {
+		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
 		r, err := c.AllToAllRepeated(sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Algorithm != "maxmatch+repair" {
-			t.Errorf("call %d: algorithm %q", k, r.Algorithm)
+		if r != first {
+			t.Fatalf("call %d: stable network did not serve the cached result", k)
 		}
-		if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
-			t.Fatalf("call %d: %v", k, err)
-		}
-		if r.CompletionTime() != first.CompletionTime() {
-			t.Errorf("stable network changed the schedule: %g vs %g", r.CompletionTime(), first.CompletionTime())
-		}
+	}
+	if first.Algorithm != "openshop" {
+		t.Errorf("cache hits mutated the cached result: %q", first.Algorithm)
 	}
 	st := c.Stats()
 	if st.Plans != 1 || st.Repairs != 3 || st.Recomputes != 0 {
@@ -129,6 +126,10 @@ func TestRepeatedStableNetworkRepairsCheaply(t *testing.T) {
 	}
 }
 
+// TestRepeatedDriftTriggersRepairThenRecompute drives the cache through
+// both outcomes: an unchanged matrix is a hit (Stats.Repairs), and a
+// changed one drops the cached plan (Stats.Recomputes) for a fresh plan
+// that is a valid total exchange on the new matrix.
 func TestRepeatedDriftTriggersRepairThenRecompute(t *testing.T) {
 	perf := netmodel.Gusto()
 	cur := perf.Clone()
@@ -137,10 +138,14 @@ func TestRepeatedDriftTriggersRepairThenRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
+	first, err := c.AllToAllRepeated(sizes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Small drift: one link slows 3× — repair.
+	if r, err := c.AllToAllRepeated(sizes); err != nil || r != first {
+		t.Fatalf("unchanged network: %v, cached result served: %v", err, r == first)
+	}
+	// One link slows 3×: the matrix changes, so the plan is recomputed.
 	pp := cur.At(0, 1)
 	pp.Bandwidth /= 3
 	cur.Set(0, 1, pp)
@@ -148,31 +153,37 @@ func TestRepeatedDriftTriggersRepairThenRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Algorithm != "maxmatch+repair" {
-		t.Errorf("small drift should repair, got %q", r.Algorithm)
+	if r == first || r.Algorithm != "openshop" {
+		t.Fatalf("drift served %q, cached result reused: %v", r.Algorithm, r == first)
 	}
-	if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
-		t.Fatal(err)
-	}
-	// Massive drift: everything slows — recompute.
-	cur = cur.Scale(0.1)
-	r, err = c.AllToAllRepeated(sizes)
+	m, err := model.Build(cur, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Algorithm != "maxmatch" {
-		t.Errorf("large drift should recompute, got %q", r.Algorithm)
+	if err := r.Schedule.ValidateTotalExchange(m); err != nil {
+		t.Fatal(err)
+	}
+	if r.LowerBound != m.LowerBound() {
+		t.Errorf("t_lb %g, the drifted matrix gives %g", r.LowerBound, m.LowerBound())
 	}
 	st := c.Stats()
 	if st.Repairs != 1 || st.Recomputes != 1 || st.Plans != 2 {
 		t.Errorf("stats = %+v", st)
 	}
+	// The new plan is cached in turn.
+	if again, err := c.AllToAllRepeated(sizes); err != nil || again != r {
+		t.Fatalf("replanned result not cached: %v", err)
+	}
 }
 
+// TestInvalidate: Invalidate drops the cached plan, so the next call
+// plans again instead of serving the old result, and that is not
+// counted as a drop on drift.
 func TestInvalidate(t *testing.T) {
 	c := newComm(t, netmodel.Gusto(), Config{})
 	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
+	first, err := c.AllToAllRepeated(sizes)
+	if err != nil {
 		t.Fatal(err)
 	}
 	c.Invalidate()
@@ -180,8 +191,11 @@ func TestInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Algorithm != "maxmatch" {
+	if r == first {
 		t.Error("Invalidate should force a fresh plan")
+	}
+	if st := c.Stats(); st.Plans != 2 || st.Repairs != 0 || st.Recomputes != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -213,13 +227,6 @@ func TestDrifted(t *testing.T) {
 	}
 	if d < 0.5 {
 		t.Errorf("halved bandwidth should drift the cost ~2×, got %g", d)
-	}
-}
-
-func TestRepeatedRejectsStepLessRepairScheduler(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{RepairScheduler: sched.NewOpenShop()})
-	if _, err := c.AllToAllRepeated(model.UniformSizes(5, 1<<20)); err == nil {
-		t.Error("openshop has no step structure; repair planning should fail loudly")
 	}
 }
 

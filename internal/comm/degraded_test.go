@@ -110,23 +110,44 @@ func TestHealthLadderTransitions(t *testing.T) {
 	}
 }
 
-// TestRepeatedLadderKeepsRepairCache checks that a degraded interlude
-// does not poison the repeated-exchange repair cache: after recovery
-// the communicator repairs against its pre-outage schedule instead of
-// replanning from the uniform matrix.
+// TestRepeatedLadderKeepsRepairCache walks the repeated-exchange cache
+// down the ladder and back. A stale-rung hit serves a tagged copy and
+// never mutates the cached result; a degraded interlude plans blind
+// without touching the cache; after recovery the cached plan itself is
+// served again (counted in Stats.Repairs).
 func TestRepeatedLadderKeepsRepairCache(t *testing.T) {
 	src := &switchableSource{perf: netmodel.Gusto(), now: time.Unix(0, 0)}
-	c, err := New(5, src.source, Config{StaleBound: -1, Clock: src.clock})
+	c, err := New(5, src.source, Config{StaleBound: 30 * time.Second, Clock: src.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := model.UniformSizes(5, 1<<20)
-	if r, err := c.AllToAllRepeated(sizes); err != nil || r.Algorithm != "maxmatch" {
-		t.Fatalf("first: %v %q", err, r.Algorithm)
+	first, err := c.AllToAllRepeated(sizes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	src.set(true) // StaleBound < 0: outage goes straight to degraded
-	if r, err := c.AllToAllRepeated(sizes); err != nil || r.Algorithm != "baseline+degraded" {
-		t.Fatalf("outage: %v %q", err, r.Algorithm)
+	if first.Algorithm != "openshop" {
+		t.Fatalf("first plan by %q", first.Algorithm)
+	}
+	src.set(true) // outage, cache young: the stale rung rebuilds the same matrix
+	stale, err := c.AllToAllRepeated(sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.Algorithm != "openshop+stale" {
+		t.Fatalf("stale hit algorithm %q", stale.Algorithm)
+	}
+	if stale == first || first.Algorithm != "openshop" {
+		t.Fatalf("stale-rung hit tagged the cached result itself: %q", first.Algorithm)
+	}
+	if stale.Schedule != first.Schedule || stale.LowerBound != first.LowerBound {
+		t.Fatal("stale-rung hit did not serve the cached plan")
+	}
+	src.advance(time.Minute) // cache too old: degraded
+	if r, err := c.AllToAllRepeated(sizes); err != nil {
+		t.Fatal(err)
+	} else if r.Algorithm != "baseline+degraded" {
+		t.Fatalf("outage algorithm %q", r.Algorithm)
 	}
 	if c.Health() != HealthDegraded {
 		t.Fatalf("health = %v", c.Health())
@@ -136,11 +157,14 @@ func TestRepeatedLadderKeepsRepairCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Algorithm != "maxmatch+repair" {
-		t.Errorf("post-recovery algorithm = %q, want a repair of the cached schedule", r.Algorithm)
+	if r != first {
+		t.Errorf("post-recovery call served %q, want the cached plan itself", r.Algorithm)
 	}
 	if c.Health() != HealthOK {
 		t.Errorf("health = %v after recovery", c.Health())
+	}
+	if st := c.Stats(); st.Plans != 2 || st.Repairs != 2 || st.Recomputes != 0 {
+		t.Errorf("stats = %+v, want 2 plans (first, degraded) and 2 cache hits", st)
 	}
 }
 

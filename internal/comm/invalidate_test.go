@@ -1,63 +1,82 @@
 package comm
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
 	"hetsched/internal/model"
 	"hetsched/internal/netmodel"
+	"hetsched/internal/sched"
 )
 
-// TestInvalidateDoomsInflightRepair reproduces the plan-cache race
-// deterministically: a repair computed under one plan generation must
-// not install — and must not be served — once Invalidate has bumped
-// the generation, because the repaired schedule descends from the
-// invalidated plan.
+// gateScheduler is open shop behind a gate: Schedule announces itself
+// on entered, then waits for release, so a test can land an Invalidate
+// while a plan is in flight.
+type gateScheduler struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gateScheduler) Name() string { return "openshop" }
+
+func (g gateScheduler) Schedule(m *model.Matrix) (*sched.Result, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return sched.NewOpenShop().Schedule(m)
+}
+
+// TestInvalidateDoomsInflightRepair: a plan in flight when Invalidate
+// lands was computed from a live snapshot, so it is served — but its
+// generation-checked install fails, the cache stays empty, and the next
+// call plans again. Run under -race this also checks the install
+// against the concurrent Invalidate.
 func TestInvalidateDoomsInflightRepair(t *testing.T) {
-	c := newComm(t, netmodel.Gusto(), Config{})
+	gate := gateScheduler{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	c := newComm(t, netmodel.Gusto(), Config{Scheduler: gate})
 	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil {
-		t.Fatal(err)
+	type served struct {
+		r   *sched.Result
+		err error
 	}
-	// Snapshot what a repair in flight would have observed.
-	c.mu.Lock()
-	gen, steps, last := c.planGen, c.lastSteps, c.lastMatrix
-	c.mu.Unlock()
-	if steps == nil || last == nil {
-		t.Fatal("first repeated call did not seed the cache")
-	}
-	// The Invalidate lands while that repair is "computing".
+	done := make(chan served, 1)
+	go func() {
+		r, err := c.AllToAllRepeated(sizes)
+		done <- served{r, err}
+	}()
+	<-gate.entered
 	c.Invalidate()
-	if c.installRepaired(gen, last, steps) {
-		t.Fatal("repair from a pre-Invalidate generation installed")
+	close(gate.release)
+	first := <-done
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	if err := first.r.Schedule.ValidateTotalExchange(nil); err != nil {
+		t.Fatalf("doomed plan not servable: %v", err)
 	}
 	c.mu.Lock()
-	cleared := c.lastSteps == nil && c.lastMatrix == nil
+	cleared := c.lastResult == nil && c.lastMatrix == nil
 	c.mu.Unlock()
 	if !cleared {
-		t.Fatal("doomed install left state in the cache")
+		t.Fatal("plan from before the Invalidate installed")
 	}
-	if c.Stats().Repairs != 0 {
-		t.Fatalf("doomed install counted as a repair: %+v", c.Stats())
-	}
-	// The next repeated call replans from scratch, not from the corpse.
-	before := c.Stats().Plans
 	r, err := c.AllToAllRepeated(sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(r.Algorithm, "+repair") {
-		t.Fatalf("post-Invalidate call served a repair: %q", r.Algorithm)
+	if r == first.r {
+		t.Fatal("post-Invalidate call served the doomed plan")
 	}
-	if c.Stats().Plans != before+1 {
-		t.Fatalf("post-Invalidate call did not plan from scratch: %+v", c.Stats())
+	if st := c.Stats(); st.Plans != 2 || st.Repairs != 0 {
+		t.Fatalf("post-Invalidate call did not plan from scratch: %+v", st)
+	}
+	if again, err := c.AllToAllRepeated(sizes); err != nil || again != r {
+		t.Fatalf("the post-Invalidate plan was not cached: %v", err)
 	}
 }
 
-// TestInvalidateScratchPlanStillServable: a scratch plan raced by an
-// Invalidate is built from a live snapshot — it must be served, but
-// the bumped generation keeps it out of the cache.
+// TestInvalidateScratchPlanStillServable: a plan computed from scratch
+// under a generation an Invalidate has since bumped is served, and
+// only the install is refused.
 func TestInvalidateScratchPlanStillServable(t *testing.T) {
 	c := newComm(t, netmodel.Gusto(), Config{})
 	sizes := model.UniformSizes(5, 1<<20)
@@ -65,15 +84,25 @@ func TestInvalidateScratchPlanStillServable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
-	c.planGen++ // an Invalidate arrives mid-plan
-	c.lastMatrix, c.lastSteps = nil, nil
+	gen := c.planGen
 	c.mu.Unlock()
-	r, err := c.AllToAllRepeated(sizes)
+	c.Invalidate()
+	m, err := model.Build(netmodel.Gusto(), sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.planRepeated(m, HealthOK, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r == nil || r.Schedule == nil {
 		t.Fatal("scratch plan not served")
+	}
+	c.mu.Lock()
+	cached := c.lastResult
+	c.mu.Unlock()
+	if cached != nil {
+		t.Fatal("plan from a pre-Invalidate generation installed")
 	}
 }
 

@@ -33,9 +33,9 @@ func newCommTelemetry(reg *obs.Registry, tr *obs.Tracer) commTelemetry {
 	if reg == nil {
 		return t
 	}
-	t.plans = reg.Counter(obs.MetricCommPlans, "Schedules computed from scratch.")
-	t.repairs = reg.Counter(obs.MetricCommRepairs, "Schedules produced by incremental repair.")
-	t.recomputes = reg.Counter(obs.MetricCommRecomputes, "Repairs abandoned for a full recompute.")
+	t.plans = reg.Counter(obs.MetricCommPlans, "Schedules computed.")
+	t.repairs = reg.Counter(obs.MetricCommRepairs, "Repeated exchanges served unchanged from the plan cache.")
+	t.recomputes = reg.Counter(obs.MetricCommRecomputes, "Cached plans dropped because the cost matrix changed.")
 	for h := HealthOK; h <= HealthDegraded; h++ {
 		t.served[h] = reg.Counter(obs.MetricLadderServed,
 			"Exchanges served, by fallback-ladder rung.", obs.L("rung", rungLabel(h)))
@@ -89,32 +89,23 @@ func (t *commTelemetry) quality(algorithm string) *obs.Histogram {
 }
 
 // timedSchedule runs the scheduler with a plan span, the plan-time
-// histogram, and the per-algorithm quality sample. With telemetry
-// disabled it is exactly s.Schedule(m). ctx carries per-request trace
-// correlation (obs.ReqTrace); context.Background() means untraced.
-//
-//hetvet:coldpath the scratch path reaches it only on the degraded rung; cold scheduling allocates by design
-func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
-	return c.timedResult(ctx, h, kind, func() (*sched.Result, error) { return s.Schedule(m) })
-}
-
-// timedResult instruments an arbitrary plan computation (scratch plan,
-// degraded baseline, or incremental repair): it times the closure with
-// the injectable clock, records the span and plan-time sample — on the
-// process tracer and, when ctx carries a request trace, on that
+// histogram, and the per-algorithm quality sample: it times the call
+// with the injectable clock, records the span and plan-time sample —
+// on the process tracer and, when ctx carries a request trace, on that
 // request's span tree — and observes the result's quality ratio under
-// the result's (untagged) algorithm name.
+// the result's (untagged) algorithm name. With telemetry disabled and
+// no request trace it is exactly s.Schedule(m).
 //
-//hetvet:coldpath instrumented planning runs only with telemetry or request tracing enabled; the zero-alloc contract is for disabled telemetry
-func (c *Communicator) timedResult(ctx context.Context, h Health, kind string, plan func() (*sched.Result, error)) (*sched.Result, error) {
+//hetvet:coldpath scheduling allocates by design; the repeated path reaches it only on a cache miss
+func (c *Communicator) timedSchedule(ctx context.Context, s sched.Scheduler, m *model.Matrix, h Health, kind string) (*sched.Result, error) {
 	if !c.tel.enabled && obs.ReqTraceFrom(ctx) == nil {
-		return plan()
+		return s.Schedule(m)
 	}
 	sp := c.tel.tracer.Begin("comm", "plan",
 		obs.L("rung", rungLabel(h)), obs.L("kind", kind))
 	_, rsp := obs.StartSpan(ctx, "comm", kind)
 	start := c.cfg.Clock()
-	r, err := plan()
+	r, err := s.Schedule(m)
 	elapsed := c.cfg.Clock().Sub(start)
 	c.tel.planSeconds.Observe(float64(elapsed) / float64(time.Second))
 	if err != nil {

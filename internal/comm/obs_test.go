@@ -77,9 +77,9 @@ func TestTelemetryLadderAndQuality(t *testing.T) {
 }
 
 // TestTelemetryMirrorsStats drives the repeated-exchange path through a
-// scratch plan, an incremental repair, and a forced recompute, and
-// checks the registry counters agree with the Stats struct — satellite
-// requirement: the same numbers must appear on /metrics.
+// plan, a cache hit, and a plan dropped on drift, and checks the
+// registry counters agree with the Stats struct: the same numbers must
+// appear on /metrics.
 func TestTelemetryMirrorsStats(t *testing.T) {
 	reg := obs.New()
 	perf := netmodel.Gusto()
@@ -89,13 +89,13 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := model.UniformSizes(5, 1<<20)
-	if _, err := c.AllToAllRepeated(sizes); err != nil { // scratch plan
+	if _, err := c.AllToAllRepeated(sizes); err != nil { // plan
 		t.Fatal(err)
 	}
-	if _, err := c.AllToAllRepeated(sizes); err != nil { // unchanged → cheap repair
+	if _, err := c.AllToAllRepeated(sizes); err != nil { // unchanged → cache hit
 		t.Fatal(err)
 	}
-	// Crash every bandwidth so most steps go dirty and repair gives up.
+	// Crash every bandwidth: the matrix changes and the cached plan goes.
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
 			if i != j {
@@ -109,8 +109,8 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Repairs == 0 || st.Recomputes == 0 {
-		t.Fatalf("test did not exercise both paths: %+v", st)
+	if st.Plans != 2 || st.Repairs != 1 || st.Recomputes != 1 {
+		t.Fatalf("test did not exercise every path: %+v", st)
 	}
 	mirror := map[string]int{
 		obs.MetricCommPlans:      st.Plans,
@@ -124,6 +124,9 @@ func TestTelemetryMirrorsStats(t *testing.T) {
 	}
 	if got := counterValue(reg, obs.MetricLadderServed, obs.L("rung", "fresh")); got != uint64(st.ServedFresh) {
 		t.Errorf("served{fresh} = %d, stats say %d", got, st.ServedFresh)
+	}
+	if got := reg.Histogram(obs.MetricPlanSeconds, "", obs.DurationBuckets).Count(); got != uint64(st.Plans) {
+		t.Errorf("plan-seconds count = %d, want one sample per plan (%d)", got, st.Plans)
 	}
 }
 

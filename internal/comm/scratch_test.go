@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,8 +38,8 @@ func (s *seqSource) next() (*netmodel.Perf, error) {
 }
 
 // driftHistory builds a deterministic network history exercising every
-// replan regime: steady state, small drift (repairable), heavy drift
-// (forces recompute), and recovery back to steady state.
+// regime of the repeated-exchange cache: steady rounds (hits), small
+// and heavy drift (misses), and recovery back to steady state.
 func driftHistory(seed int64, n, rounds int) []*netmodel.Perf {
 	rng := rand.New(rand.NewSource(seed))
 	base := netmodel.RandomPerf(rng, n, netmodel.GustoGuided())
@@ -124,12 +125,13 @@ func sameResult(t *testing.T, round int, a, b *sched.Result) {
 	}
 }
 
-// TestRepeatedScratchMatchesRepeated is the comm-level equivalence
-// property: driven through an identical network history — steady
-// rounds, repairable drift, recompute-forcing drift, source outages
-// and an Invalidate — the scratch path must serve results, stats and
-// health transitions identical to AllToAllRepeated.
-func TestRepeatedScratchMatchesRepeated(t *testing.T) {
+// TestRepeatedMatchesOneShot: the repeated-exchange cache is
+// transparent. Driven through an identical network history — steady
+// rounds, small and heavy drift, a source outage and an Invalidate —
+// AllToAllRepeated must serve, bit for bit and with the same health,
+// what a one-shot plan from the same snapshot serves, whether the call
+// hit the cache or planned.
+func TestRepeatedMatchesOneShot(t *testing.T) {
 	const n, rounds = 8, 16
 	hist := driftHistory(42, n, rounds)
 	fail := map[int]bool{9: true} // one outage mid-run → stale rung
@@ -138,141 +140,160 @@ func TestRepeatedScratchMatchesRepeated(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	clock := func() time.Time { return t0 }
 	cfg := Config{Clock: clock}
-	plain, err := New(n, srcA.next, cfg)
+	oneShot, err := New(n, srcA.next, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := New(n, srcB.next, cfg)
+	repeated, err := New(n, srcB.next, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sizes := model.UniformSizes(n, 1<<18)
-	var sc PlanScratch
 	for round := 0; round < rounds; round++ {
 		if round == 12 {
-			plain.Invalidate()
-			scratch.Invalidate()
+			repeated.Invalidate()
 		}
-		ra, errA := plain.AllToAllRepeated(sizes)
-		rb, errB := scratch.AllToAllRepeatedScratch(sizes, &sc)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("round %d: error mismatch: %v vs %v", round, errA, errB)
-		}
-		if errA != nil {
-			if errA.Error() != errB.Error() {
-				t.Fatalf("round %d: error text mismatch: %v vs %v", round, errA, errB)
-			}
-			continue
+		ra, ha, errA := oneShot.AllToAllHealth(sizes)
+		rb, errB := repeated.AllToAllRepeated(sizes)
+		if errA != nil || errB != nil {
+			t.Fatalf("round %d: errors %v, %v", round, errA, errB)
 		}
 		sameResult(t, round, ra, rb)
-		if err := ra.Schedule.ValidateTotalExchange(nil); err != nil {
-			t.Fatalf("round %d: plain schedule invalid: %v", round, err)
+		if err := rb.Schedule.ValidateTotalExchange(nil); err != nil {
+			t.Fatalf("round %d: repeated schedule invalid: %v", round, err)
 		}
-		if plain.Health() != scratch.Health() {
-			t.Fatalf("round %d: health %v vs %v", round, plain.Health(), scratch.Health())
-		}
-		if plain.Stats() != scratch.Stats() {
-			t.Fatalf("round %d: stats %+v vs %+v", round, plain.Stats(), scratch.Stats())
+		if ha != repeated.Health() {
+			t.Fatalf("round %d: health %v vs %v", round, ha, repeated.Health())
 		}
 	}
-	st := scratch.Stats()
+	st := repeated.Stats()
 	if st.Repairs == 0 || st.Recomputes == 0 || st.ServedStale == 0 {
 		t.Fatalf("history did not exercise every regime: %+v", st)
 	}
+	if got := st.Plans + st.Repairs; got != rounds {
+		t.Fatalf("stats = %+v: every call must either plan or hit", st)
+	}
 }
 
-// TestRepeatedScratchSteadyServesCache pins the steady-state short
-// circuit: with the network unchanged, every later call counts as a
-// repair, serves the cached step structure itself, and never replaces
-// the cache.
+// TestRepeatedScratchSteadyServesCache pins the hit path's cache
+// handling: with the network unchanged, every later call serves the
+// cached result itself, and the cache — plan and matrix — is never
+// replaced by the scratch matrix the call built.
 func TestRepeatedScratchSteadyServesCache(t *testing.T) {
 	perf := netmodel.Gusto()
 	c := newComm(t, perf, Config{})
 	sizes := model.UniformSizes(perf.N(), 1<<20)
-	var sc PlanScratch
-	r0, err := c.AllToAllRepeatedScratch(sizes, &sc)
+	r0, err := c.AllToAllRepeated(sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r0.Algorithm != "maxmatch" {
-		t.Fatalf("first call algorithm %q", r0.Algorithm)
-	}
 	c.mu.Lock()
-	cachedSteps, cachedMatrix := c.lastSteps, c.lastMatrix
+	cachedResult, cachedMatrix := c.lastResult, c.lastMatrix
 	c.mu.Unlock()
+	if cachedResult != r0 {
+		t.Fatal("first call did not cache the result it served")
+	}
 	for i := 0; i < 3; i++ {
-		r, err := c.AllToAllRepeatedScratch(sizes, &sc)
+		r, err := c.AllToAllRepeated(sizes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Algorithm != "maxmatch+repair" {
-			t.Fatalf("steady call %d algorithm %q", i, r.Algorithm)
-		}
-		if r.Steps != cachedSteps {
-			t.Fatalf("steady call %d did not serve the cached steps", i)
+		if r != cachedResult {
+			t.Fatalf("steady call %d did not serve the cached result", i)
 		}
 	}
 	c.mu.Lock()
-	sameCache := c.lastSteps == cachedSteps && c.lastMatrix == cachedMatrix
+	sameCache := c.lastResult == cachedResult && c.lastMatrix == cachedMatrix
 	c.mu.Unlock()
 	if !sameCache {
 		t.Fatal("steady-state serving replaced the cache")
 	}
 	if st := c.Stats(); st.Plans != 1 || st.Repairs != 3 {
-		t.Fatalf("stats = %+v, want 1 plan + 3 repairs", st)
+		t.Fatalf("stats = %+v, want 1 plan + 3 hits", st)
 	}
 }
 
-// TestRepeatedScratchResultLifetime documents the reuse contract: the
-// result returned by the scratch path is only valid until the next
-// call with the same scratch, while AllToAllRepeated's results are
-// detached and stay stable.
+// TestRepeatedScratchResultLifetime: served results and the cached
+// matrix never alias a pooled scratch matrix. Through a drifting
+// history, every earlier result stays unchanged after later calls
+// reuse the pool, and the cache always holds the matrix of the round
+// that produced its plan.
 func TestRepeatedScratchResultLifetime(t *testing.T) {
-	perf := netmodel.Gusto()
-	c := newComm(t, perf, Config{})
-	sizes := model.UniformSizes(perf.N(), 1<<20)
-	stable, err := c.AllToAllRepeated(sizes)
+	const n, rounds = 6, 10
+	hist := driftHistory(7, n, rounds)
+	src := &seqSource{perfs: hist}
+	c, err := New(n, src.next, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := append([]timing.Event(nil), stable.Schedule.Events...)
-	var sc PlanScratch
-	if _, err := c.AllToAllRepeatedScratch(sizes, &sc); err != nil {
-		t.Fatal(err)
+	sizes := model.UniformSizes(n, 1<<18)
+	var served []*sched.Result
+	var events [][]timing.Event
+	for round := 0; round < rounds; round++ {
+		r, err := c.AllToAllRepeated(sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served = append(served, r)
+		events = append(events, append([]timing.Event(nil), r.Schedule.Events...))
+		want, err := model.Build(hist[round], sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		cached := c.lastMatrix.Equal(want)
+		c.mu.Unlock()
+		if !cached {
+			t.Fatalf("round %d: cached matrix is not the round's model", round)
+		}
+		if err := r.Schedule.ValidateTotalExchange(want); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
-	if _, err := c.AllToAllRepeatedScratch(sizes, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if len(stable.Schedule.Events) != len(events) {
-		t.Fatal("detached result changed shape")
-	}
-	for i := range events {
-		if stable.Schedule.Events[i] != events[i] {
-			t.Fatal("detached result mutated by later scratch calls")
+	for k, r := range served {
+		if len(r.Schedule.Events) != len(events[k]) {
+			t.Fatalf("result %d changed shape", k)
+		}
+		for i := range events[k] {
+			if r.Schedule.Events[i] != events[k][i] {
+				t.Fatalf("result %d mutated by later calls", k)
+			}
 		}
 	}
 }
 
 // TestRepeatedScratchPoolInvalidateRace hammers the pooled scratch
-// machinery from every side at once: two communicators, each serving
-// plain repeated calls (drawing from their scratch pools) and a
-// dedicated caller-owned scratch, while Invalidate fires mid-plan on
-// both. Under -race (the exec-chaos CI leg) this is the memory-safety
-// proof for scratch reuse; semantically, every served schedule must
-// still be a complete valid total exchange.
+// matrices and the generation-checked install from every side at once:
+// two communicators over a network that flips between two tables, each
+// serving concurrent repeated calls — hits and misses mixed — while
+// Invalidate fires mid-plan. Under -race (the exec-chaos CI leg) this
+// is the memory-safety proof for buffer reuse; semantically, every
+// served schedule must still be a complete valid total exchange.
 func TestRepeatedScratchPoolInvalidateRace(t *testing.T) {
-	perfs := []*netmodel.Perf{netmodel.Gusto(), netmodel.Gusto()}
-	comms := make([]*Communicator, len(perfs))
-	for i, p := range perfs {
-		comms[i] = newComm(t, p, Config{})
+	a := netmodel.Gusto()
+	b := a.Scale(0.5)
+	comms := make([]*Communicator, 2)
+	for i := range comms {
+		var calls atomic.Int64
+		src := func() (*netmodel.Perf, error) {
+			if calls.Add(1)%4 < 2 {
+				return a, nil
+			}
+			return b, nil
+		}
+		c, err := New(5, src, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comms[i] = c
 	}
 	sizes := model.UniformSizes(5, 1<<20)
 	const iters = 30
 	var wg sync.WaitGroup
-	errs := make(chan error, 6*iters*len(comms))
+	errs := make(chan error, 3*iters*len(comms))
 	for _, c := range comms {
 		c := c
-		for w := 0; w < 2; w++ {
+		for w := 0; w < 3; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -289,22 +310,6 @@ func TestRepeatedScratchPoolInvalidateRace(t *testing.T) {
 				}
 			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc PlanScratch
-			for i := 0; i < iters; i++ {
-				r, err := c.AllToAllRepeatedScratch(sizes, &sc)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := r.Schedule.ValidateTotalExchange(nil); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

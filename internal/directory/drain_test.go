@@ -1,9 +1,13 @@
 package directory
 
 import (
+	"bytes"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"hetsched/internal/leakcheck"
 	"hetsched/internal/netmodel"
 )
 
@@ -103,4 +107,75 @@ func TestServerDrainIdempotentWithClose(t *testing.T) {
 	if err := srv.Drain(50 * time.Millisecond); err != nil {
 		t.Fatalf("drain after close: %v", err)
 	}
+}
+
+// startedConn reports its first Write on started.
+type startedConn struct {
+	net.Conn
+	once    *sync.Once
+	started chan struct{}
+}
+
+func (c startedConn) Write(b []byte) (int, error) {
+	c.once.Do(func() { close(c.started) })
+	return c.Conn.Write(b)
+}
+
+// TestServerDrainNonReadingClient: a client that pipelines snapshot
+// requests for a P=200 table and never reads fills both socket buffers
+// and leaves its handler blocked in Write. Drain must still return
+// within its grace, and every server goroutine must exit.
+func TestServerDrainNonReadingClient(t *testing.T) {
+	const p = 200
+	perf := netmodel.NewPerf(p)
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			if i != j {
+				perf.Set(i, j, netmodel.PairPerf{Latency: 1e-3 + float64(i)*1e-6, Bandwidth: 1e6 + float64(j)})
+			}
+		}
+	}
+	store, err := NewStore(perf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.Check(t, func() {
+		srv := NewServer(store)
+		started := make(chan struct{})
+		var once sync.Once
+		srv.SetConnWrapper(func(c net.Conn) net.Conn {
+			return startedConn{Conn: c, once: &once, started: started}
+		})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// Far more response bytes than loopback socket buffers hold.
+		if _, err := conn.Write(bytes.Repeat([]byte(`{"op":"snapshot"}`+"\n"), 64)); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+
+		drained := make(chan error, 1)
+		begin := time.Now()
+		go func() { drained <- srv.Drain(200 * time.Millisecond) }()
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Errorf("drain: %v", err)
+			}
+			if took := time.Since(begin); took > 2*time.Second {
+				t.Errorf("Drain(200ms) took %v with a non-reading client", took)
+			}
+		case <-time.After(2 * time.Second):
+			t.Error("Drain(200ms) still blocked after 2s by a client that never reads")
+			conn.Close() // unwedge the handler so the drain can finish
+			<-drained
+		}
+	})
 }

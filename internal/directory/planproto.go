@@ -18,8 +18,8 @@ import "fmt"
 //	← {"ok":true,"status":"served","stats":{"queue_depth":0,...}}
 //
 // The types live here, next to the directory protocol, so both wire
-// formats share one framing idiom and one fuzz harness
-// (FuzzProtocolDecode covers these frames too).
+// formats share one framing idiom (FuzzPlanProtoDecode fuzzes these
+// frames).
 
 // Plan-protocol op names.
 const (

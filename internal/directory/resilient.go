@@ -371,18 +371,25 @@ func (r *ResilientClient) SnapshotContext(ctx context.Context) (*netmodel.Perf, 
 	})
 	now := r.cfg.Clock()
 	if err == nil {
-		r.mu.Lock()
-		r.cached = perf.Clone()
-		r.cachedNames = append([]string(nil), names...)
-		r.cachedVersion = ver
-		r.cachedAt = now
-		r.mu.Unlock()
+		r.remember(perf, names, ver, now)
 		return perf, names, SnapshotMeta{Version: ver}, nil
 	}
 	if perf, names, meta, ok := r.staleSnapshot(now); ok {
 		return perf, names, meta, nil
 	}
 	return nil, nil, SnapshotMeta{}, err
+}
+
+// remember makes a live snapshot the last-known-good cache. Every
+// successful snapshot, strict or not, goes through here, so the cached
+// table, its names and its version always belong together.
+func (r *ResilientClient) remember(perf *netmodel.Perf, names []string, ver uint64, at time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cached = perf.Clone()
+	r.cachedNames = append([]string(nil), names...)
+	r.cachedVersion = ver
+	r.cachedAt = at
 }
 
 // staleSnapshot serves the cache when permitted.
@@ -523,25 +530,25 @@ func (r *ResilientClient) VersionContext(ctx context.Context) (uint64, error) {
 func (r *ResilientClient) Source(strict bool) func() (*netmodel.Perf, error) {
 	return func() (*netmodel.Perf, error) {
 		if strict {
-			var perf *netmodel.Perf
+			var (
+				perf  *netmodel.Perf
+				names []string
+				ver   uint64
+			)
 			err := r.do("snapshot", func(cl *Client) error {
-				p, _, v, e := cl.Snapshot()
+				p, n, v, e := cl.Snapshot()
 				if e != nil {
 					return e
 				}
-				perf = p
-				// Keep the cache warm so non-strict readers of the same
-				// client benefit from strict traffic too.
-				r.mu.Lock()
-				r.cached = p.Clone()
-				r.cachedVersion = v
-				r.cachedAt = r.cfg.Clock()
-				r.mu.Unlock()
+				perf, names, ver = p, n, v
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
+			// Keep the cache warm so non-strict readers of the same
+			// client benefit from strict traffic too.
+			r.remember(perf, names, ver, r.cfg.Clock())
 			return perf, nil
 		}
 		perf, _, _, err := r.Snapshot()

@@ -257,6 +257,42 @@ func TestResilientServesStaleSnapshotWithAge(t *testing.T) {
 	}
 }
 
+// TestResilientStrictSourceWarmsNames: strict-source traffic keeps the
+// whole last-known-good cache warm, so a stale serve after strict-only
+// traffic returns the cached table together with its own names.
+func TestResilientStrictSourceWarmsNames(t *testing.T) {
+	srv, _, addr := startServer(t)
+	rc := NewResilientClient(addr, ResilientConfig{
+		Retries:     1,
+		BackoffBase: time.Millisecond,
+		Sleep:       func(time.Duration) {},
+	})
+	defer rc.Close()
+	live, err := rc.Source(true)()
+	if err != nil {
+		t.Fatalf("strict snapshot: %v", err)
+	}
+	srv.Close()
+	if _, err := rc.Source(true)(); err == nil {
+		t.Fatal("strict source served through an outage")
+	}
+	perf, names, meta, err := rc.Snapshot()
+	if err != nil {
+		t.Fatalf("stale snapshot: %v", err)
+	}
+	if !meta.Stale || !perf.Equal(live) {
+		t.Fatalf("stale serve is not the strictly fetched table (meta %+v)", meta)
+	}
+	if len(names) != len(netmodel.GustoSites) {
+		t.Fatalf("stale names = %v, want %v", names, netmodel.GustoSites)
+	}
+	for i, name := range netmodel.GustoSites {
+		if names[i] != name {
+			t.Fatalf("stale names = %v, want %v", names, netmodel.GustoSites)
+		}
+	}
+}
+
 // TestChaosResilientUnderConnFaults is the directory rung of the chaos
 // suite: every server connection misbehaves (drops, stalls, torn
 // writes) on a fixed seed, and concurrent resilient clients must still

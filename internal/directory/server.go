@@ -182,22 +182,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	for {
-		// During a drain the read deadline is the absolute drain
-		// deadline: the connection keeps being served until then, but
-		// no per-request idle grace may extend past it — that is what
-		// guarantees Drain terminates.
-		s.mu.Lock()
-		draining, drainDl := s.draining, s.drainDl
-		s.mu.Unlock()
-		switch {
-		case draining:
-			if err := conn.SetReadDeadline(drainDl); err != nil {
-				return // connection already torn down
-			}
-		case idle > 0:
-			if err := conn.SetReadDeadline(clock().Add(idle)); err != nil {
-				return // connection already torn down
-			}
+		if err := s.armDeadline(conn.SetReadDeadline, idle, clock); err != nil {
+			return // connection already torn down
 		}
 		if !sc.Scan() {
 			return // client hung up, idle deadline expired, or read error
@@ -221,10 +207,43 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		// A client that stops reading must not pin this goroutine in
+		// Write: the response gets the same deadline a read would.
+		if err := s.armDeadline(conn.SetWriteDeadline, idle, clock); err != nil {
+			return
+		}
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
+}
+
+// armDeadline applies a connection's next read or write deadline
+// through set. During a drain it is the absolute drain deadline: the
+// connection keeps being served until then, but no per-request idle
+// grace may extend past it — that is what guarantees Drain terminates.
+// Otherwise it is the idle timeout, or none when that is zero. A drain
+// that begins between the check and the set is caught by a re-check,
+// so an idle deadline never outlives the drain deadline Drain applied.
+func (s *Server) armDeadline(set func(time.Time) error, idle time.Duration, clock func() time.Time) error {
+	s.mu.Lock()
+	draining, drainDl := s.draining, s.drainDl
+	s.mu.Unlock()
+	if !draining {
+		if idle <= 0 {
+			return nil
+		}
+		if err := set(clock().Add(idle)); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		draining, drainDl = s.draining, s.drainDl
+		s.mu.Unlock()
+		if !draining {
+			return nil
+		}
+	}
+	return set(drainDl)
 }
 
 func (s *Server) handle(req request) response {
@@ -303,10 +322,11 @@ func (s *Server) handleCalibrate(line []byte) response {
 // immediately (no new connections), but connected clients keep being
 // served until grace elapses, so a request in flight at signal time
 // completes instead of dying mid-frame. Every live connection gets the
-// absolute drain deadline as its read deadline — serving goroutines
-// exit when their client hangs up or the deadline fires, whichever is
-// first — and the serve loop never extends a deadline past it, so
-// Drain returns within roughly grace. The final teardown is Close,
+// absolute drain deadline for reads and writes alike — serving
+// goroutines exit when their client hangs up or the deadline fires,
+// whichever is first, even one blocked writing to a client that has
+// stopped reading — and the serve loop never extends a deadline past
+// it, so Drain returns within roughly grace. The final teardown is Close,
 // whose bookkeeping makes Drain safe to combine with a later (or
 // concurrent) Close call.
 func (s *Server) Drain(grace time.Duration) error {
@@ -331,10 +351,11 @@ func (s *Server) Drain(grace time.Duration) error {
 		err = ln.Close()
 	}
 	for _, c := range conns {
-		// Interrupt reads blocked from before the drain began; the
-		// serve loop re-applies the same absolute deadline from here on.
+		// Interrupt reads and writes blocked from before the drain
+		// began; the serve loop re-applies the same absolute deadline
+		// from here on.
 		//hetvet:ignore errdiscard a torn-down connection is already on its way out
-		c.SetReadDeadline(dl)
+		c.SetDeadline(dl)
 	}
 	s.wg.Wait()
 	if cerr := s.Close(); err == nil {

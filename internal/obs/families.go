@@ -102,9 +102,9 @@ var standardFamilies = []struct {
 	{MetricDirectoryStoreVersion, "Current version of the directory store.", TypeGauge, nil},
 	{MetricLadderServed, "Exchanges served, by fallback-ladder rung.", TypeCounter, nil},
 	{MetricLadderTransitions, "Fallback-ladder rung changes, by from/to rung.", TypeCounter, nil},
-	{MetricCommPlans, "Schedules computed from scratch.", TypeCounter, nil},
-	{MetricCommRepairs, "Schedules produced by incremental repair.", TypeCounter, nil},
-	{MetricCommRecomputes, "Repairs abandoned for a full recompute.", TypeCounter, nil},
+	{MetricCommPlans, "Schedules computed.", TypeCounter, nil},
+	{MetricCommRepairs, "Repeated exchanges served unchanged from the plan cache.", TypeCounter, nil},
+	{MetricCommRecomputes, "Cached plans dropped because the cost matrix changed.", TypeCounter, nil},
 	{MetricPlanSeconds, "Wall-clock time spent planning one exchange.", TypeHistogram, nil},
 	{MetricScheduleQuality, "Schedule quality t_max/t_lb, by algorithm.", TypeHistogram, nil},
 	{MetricSimCheckpoints, "Checkpoints taken during simulated executions.", TypeCounter, nil},
