@@ -58,10 +58,11 @@ exec-chaos:
 # The serving chaos suite under the race detector: a 10x overload storm
 # against the planning daemon (admission control, coalescing, deadline
 # expiry, a mid-storm directory outage riding the degradation ladder,
-# recovery), plus drain and slow-client defenses. TestServeOverloadChaos
+# recovery), plus drain and slow-client defenses and the line server's
+# own deadline, drain, and panic-recovery tests. TestServeOverloadChaos
 # skips under -short, so this runs the full suite deliberately.
 serve-chaos:
-	$(GO) test -race -count=1 ./internal/serve/ ./internal/faults/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/faults/ ./internal/wire/
 
 # The observability chaos run: the overload storm again, but with the
 # flight recorder and tail sampler armed and their evidence exported —
@@ -89,13 +90,15 @@ calib-chaos:
 e2ebench-check:
 	cd e2ebench && $(GO) vet . && $(GO) test .
 
-# A short fuzzing pass over each directory wire decoder: the directory
-# protocol, the plan-service frames, and the calibration feed. Plain
-# `go test` runs only the seed corpora; this explores beyond them.
+# A short fuzzing pass over each wire decoder: the directory protocol,
+# the calibration feed, the plan-service frames, and the executor's
+# frame header and ack lines. Plain `go test` runs only the seed
+# corpora; this explores beyond them.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime 10s ./internal/directory/
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanProtoDecode$$' -fuzztime 10s ./internal/directory/
 	$(GO) test -run '^$$' -fuzz '^FuzzCalibProtoDecode$$' -fuzztime 10s ./internal/directory/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanProtoDecode$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameLine$$' -fuzztime 10s ./internal/exec/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

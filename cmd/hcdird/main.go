@@ -9,7 +9,7 @@
 //
 //	hcdird -addr 127.0.0.1:7474 -gusto
 //	hcdird -addr 127.0.0.1:7474 -random -p 16 -drift 100ms
-//	hcdird -gusto -idle-timeout 2m                  # shed dead clients
+//	hcdird -gusto -idle-timeout 30s                 # shed idle clients sooner than the 2m default
 //	hcdird -gusto -chaos-drop 0.05 -chaos-tear 0.05 # fault-injected server
 //	hcdird -gusto -metrics-addr 127.0.0.1:9090      # Prometheus /metrics + pprof
 //	hcdird -gusto -calibrate                        # fit raw calibration samples server-side
@@ -42,7 +42,7 @@ func main() {
 		drift       = flag.Duration("drift", 0, "if > 0, drift bandwidths at this interval")
 		load        = flag.String("load", "", "load initial state from a JSON file")
 		save        = flag.String("save", "", "save final state to a JSON file on shutdown")
-		idleTimeout = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = never)")
+		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "drop connections idle longer than this (0 selects 2m); also bounds each response write, capped at 10s")
 		drainGrace  = flag.Duration("drain-grace", 2*time.Second, "on SIGINT/SIGTERM, keep serving connected clients this long before closing")
 		chaosDrop   = flag.Float64("chaos-drop", 0, "per-op probability of severing a connection (chaos testing)")
 		chaosStall  = flag.Duration("chaos-stall", 0, "if > 0, stall 10% of ops this long (chaos testing)")
@@ -79,9 +79,7 @@ func main() {
 		fatal(err)
 	}
 	srv := directory.NewServer(store)
-	if *idleTimeout > 0 {
-		srv.SetIdleTimeout(*idleTimeout)
-	}
+	srv.SetIdleTimeout(*idleTimeout)
 	var stopMetrics func() error
 	if *metricsAddr != "" {
 		reg := obs.Default()
@@ -128,9 +126,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("hcdird: serving %d processors on %s\n", store.N(), bound)
-	if *idleTimeout > 0 {
-		fmt.Printf("hcdird: dropping connections idle > %v\n", *idleTimeout)
-	}
 
 	stop := make(chan struct{})
 	feederDone := make(chan error, 1)

@@ -29,7 +29,6 @@ import (
 
 	"hetsched"
 	"hetsched/internal/comm"
-	"hetsched/internal/directory"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 	"hetsched/internal/serve"
@@ -228,10 +227,10 @@ func storm(target string, g, requests, patterns int, zipfS float64, p int,
 	}
 	defer cl.Close()
 	for k := 0; k < requests; k++ {
-		req := directory.PlanRequest{
+		req := serve.PlanRequest{
 			ID:         uint64(g*requests + k),
 			P:          p,
-			Kind:       directory.PatternRandom,
+			Kind:       serve.PatternRandom,
 			Bytes:      bytes,
 			Seed:       int64(zipf.Uint64()),
 			DeadlineMS: deadlineMS,
@@ -248,7 +247,7 @@ func storm(target string, g, requests, patterns int, zipfS float64, p int,
 			return // connection is gone; remaining requests were never sent
 		}
 		switch resp.Status {
-		case directory.PlanServed:
+		case serve.PlanServed:
 			tl.served++
 			d := time.Since(t0)
 			tl.lat = append(tl.lat, d)
@@ -262,11 +261,11 @@ func storm(target string, g, requests, patterns int, zipfS float64, p int,
 			if resp.Health != "" && resp.Health != "ok" {
 				tl.degraded++
 			}
-		case directory.PlanShed:
+		case serve.PlanShed:
 			tl.shed++
-		case directory.PlanExpired:
+		case serve.PlanExpired:
 			tl.expired++
-		case directory.PlanDraining:
+		case serve.PlanDraining:
 			tl.drained++
 		default:
 			tl.errors++

@@ -602,7 +602,9 @@ type (
 var ErrInjected = faults.ErrInjected
 
 // NewConnFaultInjector creates a deterministic connection-fault
-// injector; install with DirectoryServer.SetConnWrapper.
+// injector; install it on either line server's connection seam
+// (DirectoryServer.SetConnWrapper or PlanServerConfig.WrapConn, which
+// both set the one wire.Server seam).
 var NewConnFaultInjector = faults.NewConnInjector
 
 // WrapCommSource wraps a CommSource with seeded failures and frozen
@@ -798,11 +800,11 @@ type (
 	// invalidation.
 	PlanGenFunc = serve.GenFunc
 	// PlanRequest is one plan-service request (wire format).
-	PlanRequest = directory.PlanRequest
+	PlanRequest = serve.PlanRequest
 	// PlanResponse is one plan-service response (wire format).
-	PlanResponse = directory.PlanResponse
+	PlanResponse = serve.PlanResponse
 	// PlanServeStats counts a daemon's serving outcomes.
-	PlanServeStats = directory.ServeStats
+	PlanServeStats = serve.ServeStats
 )
 
 // NewPlanDaemon creates a planning daemon over a communicator.
@@ -825,8 +827,8 @@ type (
 	SlowClientInjector = faults.SlowClientInjector
 )
 
-// NewSlowClientInjector creates a slow-consumer injector; install with
-// PlanServerConfig.WrapConn or DirectoryServer.SetConnWrapper.
+// NewSlowClientInjector creates a slow-consumer injector; install it
+// like NewConnFaultInjector, on either line server's connection seam.
 var NewSlowClientInjector = faults.NewSlowClientInjector
 
 // Closed-loop network calibration: an online estimator that turns the

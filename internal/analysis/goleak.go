@@ -50,6 +50,7 @@ var goleakScope = []string{
 	"internal/faults",
 	"internal/experiments",
 	"internal/calib",
+	"internal/wire",
 }
 
 func (goleakChecker) Name() string { return "goleak" }

@@ -39,11 +39,12 @@ var lockioScope = []string{
 	"internal/serve",
 	"cmd/hetpland",
 	"cmd/hcload",
+	"internal/wire",
 }
 
 func (lockioChecker) Name() string { return "lockio" }
 func (lockioChecker) Desc() string {
-	return "no network I/O, time.Sleep, or channel operations while a mutex is held in the networked packages (directory, comm, exec, serve) and their daemons"
+	return "no network I/O, time.Sleep, or channel operations while a mutex is held in the networked packages (directory, comm, exec, serve, wire) and their daemons"
 }
 
 func (lockioChecker) Run(pkg *Package) []Diagnostic {

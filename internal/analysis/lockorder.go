@@ -49,6 +49,7 @@ var lockorderScope = []string{
 	"cmd/hetpland",
 	"cmd/hcload",
 	"internal/calib",
+	"internal/wire",
 }
 
 func (lockorderChecker) Name() string { return "lockorder" }

@@ -52,7 +52,7 @@ func flatten(cost [][]float64, n int) []float64 {
 // shortest-augmenting-path method with dual potentials used by the
 // Jonker–Volgenant solver, running in O(n³) time. It is a convenience
 // wrapper over Solver, which hot paths should use directly to reuse
-// buffers (and warm starts) across solves.
+// buffers across solves.
 //
 // Entries set to Forbidden are treated as unusable; if every perfect
 // assignment must use a forbidden edge, SolveMin returns an error.

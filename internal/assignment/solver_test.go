@@ -9,7 +9,7 @@ import (
 // refSolveMin is the original nested-slice implementation of the
 // shortest-augmenting-path solver, kept verbatim as a reference: the
 // flat Solver core must reproduce it bit-for-bit (permutation and
-// total), which FuzzWarmStartEquivalence and the tests below pin.
+// total), which TestSolverMatchesReference pins.
 func refSolveMin(cost [][]float64) ([]int, float64, error) {
 	n, err := checkSquare(cost)
 	if err != nil {
@@ -172,103 +172,7 @@ func TestSolveMinStillOptimal(t *testing.T) {
 	}
 }
 
-// driftStep perturbs some off-diagonal entries in place, the way a
-// drifting directory snapshot moves pair costs between plans.
-func driftStep(rng *rand.Rand, rows [][]float64, prob, scale float64) {
-	n := len(rows)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || rng.Float64() >= prob {
-				continue
-			}
-			rows[i][j] *= 1 + (rng.Float64()*2-1)*scale
-			if rows[i][j] <= 0 {
-				rows[i][j] = 0.01
-			}
-		}
-	}
-}
-
-// TestWarmStartEquivalenceSequences runs drift sequences (the repeated
-// exchange pattern) and requires the warm-started solver to match the
-// cold solver bit-for-bit at every step, in both directions.
-func TestWarmStartEquivalenceSequences(t *testing.T) {
-	rng := rand.New(rand.NewSource(1998))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(14)
-		rows := randCostMatrix(rng, n)
-		var s Solver
-		var wsMin, wsMax WarmStart
-		out := make([]int, n)
-		for step := 0; step < 12; step++ {
-			switch step % 3 {
-			case 1:
-				driftStep(rng, rows, 0.05, 0.2)
-			case 2:
-				// Mask a random edge the way matching rounds do.
-				i, j := rng.Intn(n), rng.Intn(n)
-				if i != j {
-					rows[i][j] = -Forbidden
-				}
-			}
-			flat := flatOf(rows)
-
-			coldAssign, coldTotal, coldErr := SolveMax(rows)
-			warmTotal, _, warmErr := s.SolveMaxWarm(out, flat, n, &wsMax)
-			checkSame(t, "max", coldAssign, coldTotal, coldErr, out, warmTotal, warmErr)
-
-			coldAssign, coldTotal, coldErr = SolveMin(rows)
-			warmTotal, _, warmErr = s.SolveMinWarm(out, flat, n, &wsMin)
-			checkSame(t, "min", coldAssign, coldTotal, coldErr, out, warmTotal, warmErr)
-		}
-	}
-}
-
-func checkSame(t *testing.T, dir string, coldAssign []int, coldTotal float64, coldErr error,
-	warmAssign []int, warmTotal float64, warmErr error) {
-	t.Helper()
-	if (coldErr == nil) != (warmErr == nil) {
-		t.Fatalf("%s: cold err %v, warm err %v", dir, coldErr, warmErr)
-	}
-	if coldErr != nil {
-		return
-	}
-	if !sameAssign(coldAssign, warmAssign) {
-		t.Fatalf("%s: warm assign %v != cold %v", dir, warmAssign, coldAssign)
-	}
-	if math.Float64bits(coldTotal) != math.Float64bits(warmTotal) {
-		t.Fatalf("%s: warm total %x != cold total %x", dir, math.Float64bits(warmTotal), math.Float64bits(coldTotal))
-	}
-}
-
-// TestWarmStartHitsSteadyState pins the performance premise: re-solving
-// an unchanged matrix must be served by the O(n²) certificate, not the
-// O(n³) core. Without this the warm path would still be correct but
-// worthless.
-func TestWarmStartHitsSteadyState(t *testing.T) {
-	for _, n := range []int{8, 16, 50} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		rows := randCostMatrix(rng, n)
-		flat := flatOf(rows)
-		var s Solver
-		var ws WarmStart
-		out := make([]int, n)
-		for iter := 0; iter < 20; iter++ {
-			_, hit, err := s.SolveMaxWarm(out, flat, n, &ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if iter > 0 && !hit {
-				t.Fatalf("n=%d iter %d: steady-state solve missed the certificate", n, iter)
-			}
-		}
-		if ws.Hits != 19 || ws.Misses != 1 {
-			t.Fatalf("n=%d: hits=%d misses=%d, want 19/1", n, ws.Hits, ws.Misses)
-		}
-	}
-}
-
-// TestSolverZeroAlloc asserts the steady-state warm solve allocates
+// TestSolverZeroAlloc asserts the steady-state flat solve allocates
 // nothing. It runs in every build mode; the companion comm-level alloc
 // tests carry the build-tag story (see internal/comm/alloc_test.go).
 func TestSolverZeroAlloc(t *testing.T) {
@@ -282,21 +186,11 @@ func TestSolverZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	flat := flatOf(randCostMatrix(rng, n))
 	var s Solver
-	var ws WarmStart
 	out := make([]int, n)
-	if _, _, err := s.SolveMaxWarm(out, flat, n, &ws); err != nil {
+	if _, err := s.SolveMaxInto(out, flat, n); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := s.SolveMaxWarm(out, flat, n, &ws); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state warm solve: %v allocs/op, want 0", allocs)
-	}
-	// The cold flat path must also be allocation-free after warmup.
-	allocs = testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := s.SolveMaxInto(out, flat, n); err != nil {
 			t.Fatal(err)
 		}
@@ -304,44 +198,6 @@ func TestSolverZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("cold flat solve: %v allocs/op, want 0", allocs)
 	}
-}
-
-// FuzzWarmStartEquivalence drives random matrices through random drift
-// sequences (scaling drifts, forbidden-edge masking, full rewrites) and
-// requires warm-started solves to be byte-identical to cold solves at
-// every step.
-func FuzzWarmStartEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(8), uint8(40))
-	f.Add(int64(1998), uint8(12), uint8(4), uint8(0))
-	f.Add(int64(-7), uint8(2), uint8(12), uint8(255))
-	f.Add(int64(424242), uint8(9), uint8(6), uint8(128))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, steps, driftRaw uint8) {
-		n := 1 + int(nRaw)%12
-		rng := rand.New(rand.NewSource(seed))
-		rows := randCostMatrix(rng, n)
-		prob := float64(driftRaw) / 255
-		var s Solver
-		var ws WarmStart
-		out := make([]int, n)
-		for step := 0; step < 2+int(steps)%12; step++ {
-			switch rng.Intn(4) {
-			case 0:
-				// unchanged matrix: the certify fast path
-			case 1:
-				driftStep(rng, rows, prob, 0.5)
-			case 2:
-				i, j := rng.Intn(n), rng.Intn(n)
-				if i != j {
-					rows[i][j] = -Forbidden
-				}
-			case 3:
-				rows = randCostMatrix(rng, n)
-			}
-			coldAssign, coldTotal, coldErr := SolveMax(rows)
-			warmTotal, _, warmErr := s.SolveMaxWarm(out, flatOf(rows), n, &ws)
-			checkSame(t, "max", coldAssign, coldTotal, coldErr, out, warmTotal, warmErr)
-		}
-	})
 }
 
 func BenchmarkSolveMaxCold(b *testing.B) {
@@ -355,28 +211,6 @@ func BenchmarkSolveMaxCold(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.SolveMaxInto(out, flat, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSolveMaxWarm(b *testing.B) {
-	for _, n := range []int{8, 16, 50} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			flat := flatOf(randCostMatrix(rng, n))
-			var s Solver
-			var ws WarmStart
-			out := make([]int, n)
-			if _, _, err := s.SolveMaxWarm(out, flat, n, &ws); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.SolveMaxWarm(out, flat, n, &ws); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 
 	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
+	"hetsched/internal/wire"
 )
 
 // Sentinel errors for the client's failure model. ErrUnavailable wraps
@@ -27,10 +28,9 @@ var (
 	ErrUnavailable = errors.New("directory: server unavailable")
 )
 
-// wallClock is this package's single sanctioned wall-clock source.
-// Every deadline — client round trips, server idle timeouts, resilient
-// retry pacing — flows through an injectable clock defaulting to it,
-// so tests and chaos runs can substitute a fake clock.
+// wallClock is this package's single sanctioned wall-clock source:
+// client round-trip deadlines read it, and resilient retry pacing
+// defaults to it behind ResilientConfig.Clock, which tests replace.
 //
 //hetvet:ignore determinism the package's one wall-clock default; every other site injects
 var wallClock = time.Now
@@ -53,7 +53,6 @@ type Client struct {
 	rd         *bufio.Scanner
 	broken     bool
 	reqTimeout time.Duration
-	clock      func() time.Time
 }
 
 // Dial connects to a directory server. timeout bounds the connection
@@ -64,7 +63,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnavailable, addr, err)
 	}
-	c := &Client{addr: addr, dialTimeout: timeout, clock: wallClock}
+	c := &Client{addr: addr, dialTimeout: timeout}
 	c.attach(conn)
 	return c, nil
 }
@@ -72,10 +71,8 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // attach installs a fresh connection. The caller must hold c.mu or own
 // the client exclusively.
 func (c *Client) attach(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	c.conn = conn
-	c.rd = sc
+	c.rd = wire.NewScanner(conn)
 	c.broken = false
 }
 
@@ -85,19 +82,6 @@ func (c *Client) SetRequestTimeout(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reqTimeout = d
-}
-
-// SetClock injects the clock used to compute request deadlines; nil
-// restores the wall clock. Note ResilientConfig.Clock is deliberately
-// NOT propagated here: that clock is virtual time for cache ages,
-// while deadlines must track the wall clock the kernel enforces.
-func (c *Client) SetClock(clock func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if clock == nil {
-		clock = wallClock
-	}
-	c.clock = clock
 }
 
 // Reconnect drops the current connection and dials a fresh one to the
@@ -167,7 +151,7 @@ func (c *Client) roundTripLine(out []byte) (response, error) {
 	// writes here would corrupt the stream, not speed it up.
 	var dl time.Time // zero clears the deadline
 	if c.reqTimeout > 0 {
-		dl = c.clock().Add(c.reqTimeout)
+		dl = wallClock().Add(c.reqTimeout)
 	}
 	//hetvet:ignore lockio the mutex is the framing lock; see comment above
 	if err := c.conn.SetDeadline(dl); err != nil {

@@ -2,7 +2,6 @@ package directory
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -23,9 +22,9 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(`null`)
 	f.Add(`[1,2,3]`)
 	f.Add(`{"op":"query","src":1e308,"dst":-5}`)
-	// Plan-service frames (planproto.go) ride the same framing; the
-	// directory decoders must survive them too. FuzzPlanProtoDecode
-	// holds them to their own round trip.
+	// Plan-service frames (internal/serve) ride the same framing; the
+	// directory decoders must survive them too. serve's
+	// FuzzPlanProtoDecode holds them to their own round trip.
 	f.Add(`{"op":"plan","id":7,"p":8,"kind":"uniform","bytes":1024,"deadline_ms":500}`)
 	f.Add(`{"op":"plan","p":4,"kind":"random","bytes":1048576,"seed":42}`)
 	f.Add(`{"op":"plan","sizes":[[0,1],[2,0]]}`)
@@ -108,60 +107,6 @@ func FuzzCalibProtoDecode(f *testing.F) {
 		}
 		if !bytes.Equal(wire, wire2) {
 			t.Fatalf("calibrate request round trip changed %s to %s", wire, wire2)
-		}
-	})
-}
-
-// FuzzPlanProtoDecode holds the plan-service frames (planproto.go) to
-// a value round trip: for every line ParsePlanRequest or
-// ParsePlanResponse accepts, encoding the decoded value and decoding
-// that again must give back the same value. The one normalization is
-// the one the encoding defines: an empty Sizes table is omitted on the
-// wire, so it comes back nil.
-func FuzzPlanProtoDecode(f *testing.F) {
-	f.Add(`{"op":"plan","id":7,"p":8,"kind":"uniform","bytes":1024,"deadline_ms":500}`)
-	f.Add(`{"op":"plan","p":4,"kind":"random","bytes":1048576,"seed":42,"trace":"00000000cafe0001"}`)
-	f.Add(`{"op":"plan","sizes":[[0,1],[2,0]]}`)
-	f.Add(`{"op":"plan","sizes":[]}`)
-	f.Add(`{"op":"plan","sizes":[[],null]}`)
-	f.Add(`{"op":"serve_stats"}`)
-	f.Add(`{"ok":true,"id":7,"status":"served","health":"ok","generation":3,"algorithm":"openshop","t_max":0.012,"t_lb":0.009,"steps":8,"cached":true,"queue_wait_ms":1.5}`)
-	f.Add(`{"ok":false,"status":"shed","retry_after_ms":40,"error":"serve: queue full"}`)
-	f.Add(`{"ok":true,"status":"served","stats":{"queue_depth":2,"in_flight":1,"admitted":9,"draining":true}}`)
-	f.Add(`{"ok":true,"stats":{}}`)
-	f.Add(`{"ok":true,"stats":null}`)
-	f.Add(`{`)
-	f.Add(``)
-	f.Add(`null`)
-	f.Fuzz(func(t *testing.T, line string) {
-		if req, err := ParsePlanRequest([]byte(line)); err == nil {
-			wire, err := EncodePlanRequest(req)
-			if err != nil {
-				t.Fatalf("accepted plan request failed to encode: %v", err)
-			}
-			back, err := ParsePlanRequest(wire)
-			if err != nil {
-				t.Fatalf("encoded plan request failed to re-parse: %v", err)
-			}
-			if len(req.Sizes) == 0 {
-				req.Sizes = nil
-			}
-			if !reflect.DeepEqual(back, req) {
-				t.Fatalf("plan request round trip changed %+v to %+v", req, back)
-			}
-		}
-		if resp, err := ParsePlanResponse([]byte(line)); err == nil {
-			wire, err := EncodePlanResponse(resp)
-			if err != nil {
-				t.Fatalf("accepted plan response failed to encode: %v", err)
-			}
-			back, err := ParsePlanResponse(wire)
-			if err != nil {
-				t.Fatalf("encoded plan response failed to re-parse: %v", err)
-			}
-			if !reflect.DeepEqual(back, resp) {
-				t.Fatalf("plan response round trip changed %+v to %+v", resp, back)
-			}
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package directory
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,70 +9,47 @@ import (
 	"hetsched/internal/calib"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
+	"hetsched/internal/wire"
 )
 
-// Server exposes a Store over TCP with the JSON-line protocol. One
-// goroutine per connection; connections are independent and may issue
-// any number of requests.
+// Server exposes a Store over TCP with the JSON-line protocol. The
+// connection handling — accept loop, deadlines, drain, panic recovery —
+// is a wire.Server; this type answers the directory ops.
 type Server struct {
 	store *Store
+	wire  wire.Server
 
-	mu          sync.Mutex
-	listener    net.Listener
-	conns       map[net.Conn]struct{}
-	closed      bool
-	draining    bool
-	drainDl     time.Time
-	wg          sync.WaitGroup
-	idleTimeout time.Duration
-	wrapConn    func(net.Conn) net.Conn
-	clock       func() time.Time
-	calibrator  *calib.Calibrator
+	mu         sync.Mutex
+	calibrator *calib.Calibrator
 
 	// resolved telemetry instruments; all nil when metrics are off.
-	mConns   *obs.Counter
 	mReqs    map[string]*obs.Counter // by op, plus "invalid"
 	mVersion *obs.Gauge
 }
 
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, conns: map[net.Conn]struct{}{}, clock: wallClock}
-}
-
-// SetClock injects the clock used to compute idle deadlines; nil
-// restores the wall clock. Call before Listen.
-func (s *Server) SetClock(clock func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if clock == nil {
-		clock = wallClock
-	}
-	s.clock = clock
+	s := &Server{store: store}
+	s.wire = wire.Server{Name: "directory", Handler: s.serveLine}
+	return s
 }
 
 // SetIdleTimeout makes the server drop connections that stay silent
-// longer than d, so dead clients cannot pin serving goroutines
-// forever. Zero (the default) keeps connections open indefinitely.
-// Call before Listen.
-func (s *Server) SetIdleTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idleTimeout = d
-}
+// longer than d, so dead clients cannot pin serving goroutines. Zero
+// selects wire.DefaultIdleTimeout (2 minutes). Call before Listen.
+func (s *Server) SetIdleTimeout(d time.Duration) { s.wire.IdleTimeout = d }
 
 // SetMetrics registers the server's instruments — accepted connections,
-// handled requests by op, and the store's version gauge — in reg. Call
-// before Listen; a nil registry leaves metrics disabled (every hook is
-// then a nil-pointer no-op).
+// handled requests by op, the store's version gauge, and recovered
+// handler panics — in reg. Call before Listen; a nil registry leaves
+// metrics disabled (every hook is then a nil-pointer no-op).
 func (s *Server) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mConns = reg.Counter(obs.MetricDirectoryServerConns,
-		"Connections accepted by the directory server.")
+	s.wire.Metrics = reg
+	s.wire.OnConn = reg.Counter(obs.MetricDirectoryServerConns,
+		"Connections accepted by the directory server.").Inc
 	s.mReqs = map[string]*obs.Counter{}
 	for _, op := range []string{opQuery, opSnapshot, opUpdatePair, opVersion, OpCalibrate, "invalid"} {
 		s.mReqs[op] = reg.Counter(obs.MetricDirectoryServerRequests,
@@ -114,136 +89,35 @@ func (s *Server) SetCalibrator(cal *calib.Calibrator) {
 // before serving begins — the seam the chaos harness uses to inject
 // drops, stalls, and partial writes (see internal/faults). Call before
 // Listen; the wrapper's Close must close the underlying connection.
-func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wrapConn = wrap
-}
+func (s *Server) SetConnWrapper(wrap func(net.Conn) net.Conn) { s.wire.WrapConn = wrap }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0")
 // and returns the bound address. Serving happens on background
-// goroutines; call Close to stop.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("directory: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		//hetvet:ignore errdiscard best-effort close of a listener that never served
-		ln.Close()
-		return "", errors.New("directory: server already closed")
-	}
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
+// goroutines; call Drain or Close to stop.
+func (s *Server) Listen(addr string) (string, error) { return s.wire.Listen(addr) }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			//hetvet:ignore errdiscard best-effort close of a connection that raced shutdown
-			conn.Close()
-			return
-		}
-		if s.wrapConn != nil {
-			conn = s.wrapConn(conn)
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.mConns.Inc()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+// Drain stops accepting at once and keeps serving connected clients
+// until grace elapses, then closes (wire.Server.Drain).
+func (s *Server) Drain(grace time.Duration) error { return s.wire.Drain(grace) }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	s.mu.Lock()
-	idle := s.idleTimeout
-	clock := s.clock
-	s.mu.Unlock()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	for {
-		if err := s.armDeadline(conn.SetReadDeadline, idle, clock); err != nil {
-			return // connection already torn down
-		}
-		if !sc.Scan() {
-			return // client hung up, idle deadline expired, or read error
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var resp response
-		if req, err := parseRequest(line); err != nil {
-			resp = response{Error: err.Error()}
-		} else if req.Op == OpCalibrate {
-			// The calibration feed carries slice payloads the scalar
-			// request union cannot hold, so the raw line is re-parsed
-			// into its own frame type.
-			resp = s.handleCalibrate(line)
-		} else {
-			resp = s.handle(req)
-		}
-		out, err := encodeResponse(resp)
-		if err != nil {
-			return
-		}
-		// A client that stops reading must not pin this goroutine in
-		// Write: the response gets the same deadline a read would.
-		if err := s.armDeadline(conn.SetWriteDeadline, idle, clock); err != nil {
-			return
-		}
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
-}
+// Close stops the listener and every connection and waits for the
+// serving goroutines. It is safe to call more than once.
+func (s *Server) Close() error { return s.wire.Close() }
 
-// armDeadline applies a connection's next read or write deadline
-// through set. During a drain it is the absolute drain deadline: the
-// connection keeps being served until then, but no per-request idle
-// grace may extend past it — that is what guarantees Drain terminates.
-// Otherwise it is the idle timeout, or none when that is zero. A drain
-// that begins between the check and the set is caught by a re-check,
-// so an idle deadline never outlives the drain deadline Drain applied.
-func (s *Server) armDeadline(set func(time.Time) error, idle time.Duration, clock func() time.Time) error {
-	s.mu.Lock()
-	draining, drainDl := s.draining, s.drainDl
-	s.mu.Unlock()
-	if !draining {
-		if idle <= 0 {
-			return nil
-		}
-		if err := set(clock().Add(idle)); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		draining, drainDl = s.draining, s.drainDl
-		s.mu.Unlock()
-		if !draining {
-			return nil
-		}
+// serveLine answers one request line.
+func (s *Server) serveLine(line []byte) any {
+	req, err := parseRequest(line)
+	switch {
+	case err != nil:
+		return response{Error: err.Error()}
+	case req.Op == OpCalibrate:
+		// The calibration feed carries slice payloads the scalar
+		// request union cannot hold, so the raw line is re-parsed
+		// into its own frame type.
+		return s.handleCalibrate(line)
+	default:
+		return s.handle(req)
 	}
-	return set(drainDl)
 }
 
 func (s *Server) handle(req request) response {
@@ -316,85 +190,4 @@ func (s *Server) handleCalibrate(line []byte) response {
 	}
 	s.mVersion.Set(float64(v))
 	return response{OK: true, Version: v, Applied: applied, Rejected: rejected}
-}
-
-// Drain shuts the server down gracefully: the listener closes
-// immediately (no new connections), but connected clients keep being
-// served until grace elapses, so a request in flight at signal time
-// completes instead of dying mid-frame. Every live connection gets the
-// absolute drain deadline for reads and writes alike — serving
-// goroutines exit when their client hangs up or the deadline fires,
-// whichever is first, even one blocked writing to a client that has
-// stopped reading — and the serve loop never extends a deadline past
-// it, so Drain returns within roughly grace. The final teardown is Close,
-// whose bookkeeping makes Drain safe to combine with a later (or
-// concurrent) Close call.
-func (s *Server) Drain(grace time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.Close()
-	}
-	s.draining = true
-	s.drainDl = s.clock().Add(grace)
-	dl := s.drainDl
-	ln := s.listener
-	s.listener = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection gets the same deadline
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		// Interrupt reads and writes blocked from before the drain
-		// began; the serve loop re-applies the same absolute deadline
-		// from here on.
-		//hetvet:ignore errdiscard a torn-down connection is already on its way out
-		c.SetDeadline(dl)
-	}
-	s.wg.Wait()
-	if cerr := s.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Close stops the listener and all connections and waits for the
-// serving goroutines to drain. It is safe to call more than once. The
-// mutex only guards the bookkeeping: the closed flag flips and the
-// live connections are snapshotted under s.mu, then every network
-// teardown happens after unlocking so accept and serve goroutines are
-// never queued behind it. The listener's close error is returned;
-// per-connection close errors are expected noise (each serving
-// goroutine's deferred close races this one).
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return nil
-	}
-	s.closed = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	//hetvet:ignore determinism order-insensitive: every live connection is closed regardless of iteration order
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		//hetvet:ignore errdiscard racing the serving goroutine's own deferred close; either error is noise
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
 }

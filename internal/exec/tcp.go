@@ -13,7 +13,7 @@ import (
 // in-process pipes; hcsim -execute -transport tcp runs a whole
 // exchange over it. An optional connection wrapper is applied to the
 // accept-side half of every connection — the same chaos seam as
-// directory.Server.SetConnWrapper.
+// wire.Server.WrapConn.
 type TCP struct {
 	n    int
 	ls   []net.Listener

@@ -56,7 +56,7 @@ type Transport interface {
 // net.Pipe whose server half is delivered to the destination's Accept
 // stream. An optional connection wrapper (faults.ConnInjector.Wrap or
 // faults.LatencyInjector.Wrap) is applied to the accept-side half, the
-// same seam directory.Server exposes, so chaos tests drive the
+// same seam wire.Server exposes, so chaos tests drive the
 // executor without touching a real socket.
 type Mem struct {
 	n        int

@@ -7,7 +7,8 @@
 // by explicit seeds so a chaos run that finds a bug replays exactly.
 //
 // The injectors plug into seams the production code already exposes:
-// directory.Server.SetConnWrapper accepts ConnInjector.Wrap,
+// wire.Server.WrapConn, the one connection seam of the directory and
+// plan servers, accepts ConnInjector.Wrap,
 // comm.Source is satisfied by WrapSource's return value, and Network
 // implements sim.Network while supplying the observe function and
 // fault times that sim.RunReactive needs for checkpoint + re-plan.
@@ -82,7 +83,7 @@ func (in *ConnInjector) Counts() ConnCounts {
 
 // Wrap returns a connection that misbehaves per the config. Close
 // closes the underlying connection, so wrapped conns are safe to hand
-// to directory.Server.SetConnWrapper.
+// to wire.Server.WrapConn.
 func (in *ConnInjector) Wrap(c net.Conn) net.Conn {
 	in.mu.Lock()
 	in.ctr.Conns++

@@ -62,8 +62,7 @@ func (in *SlowClientInjector) Conns() int {
 }
 
 // Wrap throttles conn per the injector's config. It satisfies the same
-// seam as ConnInjector.Wrap (directory.Server.SetConnWrapper and
-// serve.ServerConfig.WrapConn).
+// seam as ConnInjector.Wrap (wire.Server.WrapConn).
 func (in *SlowClientInjector) Wrap(conn net.Conn) net.Conn {
 	in.mu.Lock()
 	in.conns++

@@ -86,6 +86,11 @@ const (
 	// record path must stay allocation-free.
 	MetricFlightEvents = "hetsched_flight_events_total"
 	MetricFlightDumps  = "hetsched_flight_dumps_total"
+
+	// JSON-line servers (internal/wire). Labels:
+	//   - server: which line server recovered the panic ("directory",
+	//     "serve")
+	MetricWireHandlerPanics = "hetsched_wire_handler_panics_total"
 )
 
 // standardFamilies lists every canonical family with its metadata.
@@ -135,6 +140,7 @@ var standardFamilies = []struct {
 	{MetricServeTailDropped, "Request span trees dropped by the tail sampler as uninteresting.", TypeCounter, nil},
 	{MetricFlightEvents, "Events recorded by the flight recorder.", TypeCounter, nil},
 	{MetricFlightDumps, "Flight-recorder dumps written to disk.", TypeCounter, nil},
+	{MetricWireHandlerPanics, "Request handlers that panicked, by server.", TypeCounter, nil},
 }
 
 // DeclareStandard registers metadata for every canonical family so a

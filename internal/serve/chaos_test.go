@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"hetsched/internal/comm"
-	"hetsched/internal/directory"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 )
@@ -82,8 +81,8 @@ func TestServeOverloadChaos(t *testing.T) {
 	srv, addr := startTestServer(t, d, ServerConfig{})
 	defer srv.Close()
 
-	mkReq := func(id uint64, seed int64) directory.PlanRequest {
-		return directory.PlanRequest{ID: id, P: 6, Kind: directory.PatternRandom,
+	mkReq := func(id uint64, seed int64) PlanRequest {
+		return PlanRequest{ID: id, P: 6, Kind: PatternRandom,
 			Bytes: 4096, Seed: seed, DeadlineMS: deadlineMS}
 	}
 
@@ -144,7 +143,7 @@ func TestServeOverloadChaos(t *testing.T) {
 					return
 				}
 				switch resp.Status {
-				case directory.PlanServed:
+				case PlanServed:
 					tl.served++
 					tl.lat = append(tl.lat, time.Since(start))
 					if resp.Coalesced {
@@ -156,21 +155,21 @@ func TestServeOverloadChaos(t *testing.T) {
 					if resp.Health != "ok" {
 						tl.nonFresh++
 					}
-				case directory.PlanShed:
+				case PlanShed:
 					tl.shed++
 					tl.interesting = append(tl.interesting, resp.Trace)
 					if resp.RetryAfterMS <= 0 {
 						tl.errs = append(tl.errs, fmt.Errorf("shed without retry-after: %+v", resp))
 						return
 					}
-				case directory.PlanExpired:
+				case PlanExpired:
 					tl.expired++
 					tl.interesting = append(tl.interesting, resp.Trace)
 					if resp.RetryAfterMS <= 0 {
 						tl.errs = append(tl.errs, fmt.Errorf("expired without retry-after: %+v", resp))
 						return
 					}
-				case directory.PlanDraining:
+				case PlanDraining:
 					tl.drained++
 					tl.interesting = append(tl.interesting, resp.Trace)
 				default:

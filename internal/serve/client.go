@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"hetsched/internal/directory"
 	"hetsched/internal/obs"
+	"hetsched/internal/wire"
 )
 
 // Client is a minimal plan-service client: one connection, one
@@ -20,7 +20,6 @@ import (
 // (same convention as directory.Client).
 type Client struct {
 	timeout time.Duration
-	clock   func() time.Time
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -42,20 +41,18 @@ func Dial(ctx context.Context, addr string, timeout time.Duration) (*Client, err
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	return &Client{timeout: timeout, clock: wallClock, conn: conn, sc: sc}, nil
+	return &Client{timeout: timeout, conn: conn, sc: wire.NewScanner(conn)}, nil
 }
 
 // Plan sends one plan request and waits for its response. The op field
 // is filled in; other fields are the caller's. When ctx carries a
 // trace (obs.WithTrace) and the request has none, the trace ID rides
 // the wire so the daemon's telemetry correlates with the caller's.
-func (c *Client) Plan(ctx context.Context, req directory.PlanRequest) (directory.PlanResponse, error) {
+func (c *Client) Plan(ctx context.Context, req PlanRequest) (PlanResponse, error) {
 	if c == nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: nil client")
+		return PlanResponse{}, fmt.Errorf("serve: nil client")
 	}
-	req.Op = directory.OpPlan
+	req.Op = OpPlan
 	if req.Trace == "" {
 		req.Trace = obs.FormatTraceID(obs.TraceFrom(ctx).TraceID)
 	}
@@ -63,17 +60,17 @@ func (c *Client) Plan(ctx context.Context, req directory.PlanRequest) (directory
 }
 
 // Stats fetches the daemon's serving counters.
-func (c *Client) Stats(ctx context.Context) (directory.PlanResponse, error) {
+func (c *Client) Stats(ctx context.Context) (PlanResponse, error) {
 	if c == nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: nil client")
+		return PlanResponse{}, fmt.Errorf("serve: nil client")
 	}
-	return c.roundTrip(ctx, directory.PlanRequest{Op: directory.OpServeStats})
+	return c.roundTrip(ctx, PlanRequest{Op: OpServeStats})
 }
 
-func (c *Client) roundTrip(ctx context.Context, req directory.PlanRequest) (directory.PlanResponse, error) {
-	line, err := directory.EncodePlanRequest(req)
+func (c *Client) roundTrip(ctx context.Context, req PlanRequest) (PlanResponse, error) {
+	line, err := EncodePlanRequest(req)
 	if err != nil {
-		return directory.PlanResponse{}, err
+		return PlanResponse{}, err
 	}
 	budget := c.timeout
 	if req.DeadlineMS > 0 {
@@ -86,9 +83,9 @@ func (c *Client) roundTrip(ctx context.Context, req directory.PlanRequest) (dire
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: client is closed")
+		return PlanResponse{}, fmt.Errorf("serve: client is closed")
 	}
-	dl := c.clock().Add(budget)
+	dl := wallClock().Add(budget)
 	if ctx != nil {
 		// A caller deadline tighter than the protocol budget wins.
 		if cd, ok := ctx.Deadline(); ok && cd.Before(dl) {
@@ -97,20 +94,20 @@ func (c *Client) roundTrip(ctx context.Context, req directory.PlanRequest) (dire
 	}
 	//hetvet:ignore lockio the mutex is the framing lock; see type comment
 	if err := c.conn.SetDeadline(dl); err != nil {
-		return directory.PlanResponse{}, err
+		return PlanResponse{}, err
 	}
 	//hetvet:ignore lockio the mutex is the framing lock; see type comment
 	if _, err := c.conn.Write(line); err != nil {
-		return directory.PlanResponse{}, fmt.Errorf("serve: write: %w", err)
+		return PlanResponse{}, fmt.Errorf("serve: write: %w", err)
 	}
 	//hetvet:ignore lockio the mutex is the framing lock; see type comment
 	if !c.sc.Scan() {
 		if err := c.sc.Err(); err != nil {
-			return directory.PlanResponse{}, fmt.Errorf("serve: read: %w", err)
+			return PlanResponse{}, fmt.Errorf("serve: read: %w", err)
 		}
-		return directory.PlanResponse{}, fmt.Errorf("serve: connection closed by server")
+		return PlanResponse{}, fmt.Errorf("serve: connection closed by server")
 	}
-	return directory.ParsePlanResponse(c.sc.Bytes())
+	return ParsePlanResponse(c.sc.Bytes())
 }
 
 // Close tears down the connection. Idempotent.

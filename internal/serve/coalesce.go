@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"hetsched/internal/directory"
 	"hetsched/internal/model"
 )
 
@@ -31,7 +30,7 @@ type flight struct {
 	deadline time.Time // leader's absolute deadline; CoDel checks it at dequeue
 	done     chan struct{}
 	once     sync.Once
-	resp     directory.PlanResponse // template; readable after done closes
+	resp     PlanResponse // template; readable after done closes
 }
 
 func newFlight(ctx context.Context, key flightKey, sizes *model.Sizes, enqueued, deadline time.Time) *flight {
@@ -40,7 +39,7 @@ func newFlight(ctx context.Context, key flightKey, sizes *model.Sizes, enqueued,
 }
 
 // complete resolves the flight for every waiter. First caller wins.
-func (fl *flight) complete(resp directory.PlanResponse) {
+func (fl *flight) complete(resp PlanResponse) {
 	fl.once.Do(func() {
 		fl.resp = resp
 		close(fl.done)
@@ -59,7 +58,7 @@ func (fl *flight) complete(resp directory.PlanResponse) {
 // Callers synchronize (the daemon's admission mutex).
 type planCache struct {
 	limit   int
-	entries map[flightKey]directory.PlanResponse
+	entries map[flightKey]PlanResponse
 	ring    []flightKey // insertion order; next points at the eviction victim
 	next    int
 }
@@ -67,17 +66,17 @@ type planCache struct {
 func newPlanCache(limit int) *planCache {
 	return &planCache{
 		limit:   limit,
-		entries: make(map[flightKey]directory.PlanResponse, limit),
+		entries: make(map[flightKey]PlanResponse, limit),
 		ring:    make([]flightKey, limit),
 	}
 }
 
-func (pc *planCache) get(key flightKey) (directory.PlanResponse, bool) {
+func (pc *planCache) get(key flightKey) (PlanResponse, bool) {
 	resp, ok := pc.entries[key]
 	return resp, ok
 }
 
-func (pc *planCache) put(key flightKey, resp directory.PlanResponse) {
+func (pc *planCache) put(key flightKey, resp PlanResponse) {
 	if _, ok := pc.entries[key]; ok {
 		pc.entries[key] = resp
 		return

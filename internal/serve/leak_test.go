@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hetsched/internal/comm"
-	"hetsched/internal/directory"
 	"hetsched/internal/leakcheck"
 )
 
@@ -25,8 +24,8 @@ func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			resp := d.Plan(context.Background(), directory.PlanRequest{
-				ID: uint64(i), P: 4, Kind: directory.PatternUniform, Bytes: 512})
+			resp := d.Plan(context.Background(), PlanRequest{
+				ID: uint64(i), P: 4, Kind: PatternUniform, Bytes: 512})
 			if !resp.OK {
 				t.Errorf("request %d not served: %+v", i, resp)
 			}
@@ -54,8 +53,8 @@ func TestDaemonShutdownUnderLoadLeaksNoGoroutines(t *testing.T) {
 			wg.Add(1)
 			go func(id uint64) {
 				defer wg.Done()
-				d.Plan(context.Background(), directory.PlanRequest{
-					ID: id, P: 4, Kind: directory.PatternUniform, Bytes: 256})
+				d.Plan(context.Background(), PlanRequest{
+					ID: id, P: 4, Kind: PatternUniform, Bytes: 256})
 			}(uint64(i))
 		}
 		d.Shutdown()

@@ -14,7 +14,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 
-	"hetsched/internal/directory"
 	"hetsched/internal/model"
 )
 
@@ -41,7 +40,7 @@ func hashStr(h hash.Hash64, s string) {
 // (kind, p, bytes, seed) — with domain separation between the two
 // forms so an explicit matrix can never collide with a shorthand that
 // would generate it.
-func materialize(req directory.PlanRequest, maxP int) (*model.Sizes, uint64, error) {
+func materialize(req PlanRequest, maxP int) (*model.Sizes, uint64, error) {
 	if len(req.Sizes) > 0 {
 		return materializeExplicit(req.Sizes, maxP)
 	}
@@ -58,13 +57,13 @@ func materialize(req directory.PlanRequest, maxP int) (*model.Sizes, uint64, err
 	}
 	kind := req.Kind
 	if kind == "" {
-		kind = directory.PatternUniform
+		kind = PatternUniform
 	}
 	var s *model.Sizes
 	switch kind {
-	case directory.PatternUniform:
+	case PatternUniform:
 		s = model.UniformSizes(p, bytes)
-	case directory.PatternRandom:
+	case PatternRandom:
 		s = model.NewSizes(p)
 		rng := rand.New(rand.NewSource(req.Seed))
 		for i := 0; i < p; i++ {
@@ -74,7 +73,7 @@ func materialize(req directory.PlanRequest, maxP int) (*model.Sizes, uint64, err
 				}
 			}
 		}
-	case directory.PatternSkew:
+	case PatternSkew:
 		// Row i sends (i+1)·bytes to every peer: a ramp that keeps one
 		// processor a clear straggler, useful for exercising non-uniform
 		// schedules without a seed.

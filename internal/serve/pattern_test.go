@@ -3,12 +3,10 @@ package serve
 import (
 	"reflect"
 	"testing"
-
-	"hetsched/internal/directory"
 )
 
 func TestMaterializeDeterministic(t *testing.T) {
-	req := directory.PlanRequest{P: 6, Kind: directory.PatternRandom, Bytes: 4096, Seed: 42}
+	req := PlanRequest{P: 6, Kind: PatternRandom, Bytes: 4096, Seed: 42}
 	s1, h1, err := materialize(req, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -26,17 +24,17 @@ func TestMaterializeDeterministic(t *testing.T) {
 }
 
 func TestMaterializeHashSeparatesSpecs(t *testing.T) {
-	base := directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 1024}
+	base := PlanRequest{P: 4, Kind: PatternUniform, Bytes: 1024}
 	_, h0, err := materialize(base, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []directory.PlanRequest{
-		{P: 5, Kind: directory.PatternUniform, Bytes: 1024},
-		{P: 4, Kind: directory.PatternUniform, Bytes: 2048},
-		{P: 4, Kind: directory.PatternSkew, Bytes: 1024},
-		{P: 4, Kind: directory.PatternRandom, Bytes: 1024, Seed: 1},
-		{P: 4, Kind: directory.PatternRandom, Bytes: 1024, Seed: 2},
+	variants := []PlanRequest{
+		{P: 5, Kind: PatternUniform, Bytes: 1024},
+		{P: 4, Kind: PatternUniform, Bytes: 2048},
+		{P: 4, Kind: PatternSkew, Bytes: 1024},
+		{P: 4, Kind: PatternRandom, Bytes: 1024, Seed: 1},
+		{P: 4, Kind: PatternRandom, Bytes: 1024, Seed: 2},
 	}
 	seen := map[uint64]bool{h0: true}
 	for _, v := range variants {
@@ -55,12 +53,12 @@ func TestMaterializeHashSeparatesSpecs(t *testing.T) {
 // values a uniform shorthand would generate must still hash
 // differently — the two forms are different wire specs.
 func TestMaterializeDomainSeparation(t *testing.T) {
-	gen := directory.PlanRequest{P: 3, Kind: directory.PatternUniform, Bytes: 7}
+	gen := PlanRequest{P: 3, Kind: PatternUniform, Bytes: 7}
 	sGen, hGen, err := materialize(gen, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := directory.PlanRequest{Sizes: [][]int64{{0, 7, 7}, {7, 0, 7}, {7, 7, 0}}}
+	exp := PlanRequest{Sizes: [][]int64{{0, 7, 7}, {7, 0, 7}, {7, 7, 0}}}
 	sExp, hExp, err := materialize(exp, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -74,9 +72,9 @@ func TestMaterializeDomainSeparation(t *testing.T) {
 }
 
 func TestMaterializeRejects(t *testing.T) {
-	cases := []directory.PlanRequest{
-		{P: 1, Kind: directory.PatternUniform},                  // too small
-		{P: 100, Kind: directory.PatternUniform},                // over maxP
+	cases := []PlanRequest{
+		{P: 1, Kind: PatternUniform},                            // too small
+		{P: 100, Kind: PatternUniform},                          // over maxP
 		{P: 4, Kind: "fancy"},                                   // unknown kind
 		{Sizes: [][]int64{{0, 1}}},                              // ragged
 		{Sizes: [][]int64{{0, -1}, {1, 0}}},                     // negative

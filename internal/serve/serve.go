@@ -8,13 +8,12 @@ import (
 
 	"hetsched/internal/calib"
 	"hetsched/internal/comm"
-	"hetsched/internal/directory"
 	"hetsched/internal/obs"
 )
 
 // wallClock is this package's single sanctioned wall-clock source.
-// Every deadline — request budgets, queue waits, drain windows — flows
-// through an injectable clock defaulting to it.
+// Request budgets, queue waits and client round-trip deadlines read
+// it, through Config.Clock where tests inject one.
 //
 //hetvet:ignore determinism the package's one wall-clock default; every other site injects
 var wallClock = time.Now
@@ -146,7 +145,7 @@ type Daemon struct {
 	genProbing bool
 	inFlight   int
 	draining   bool
-	stats      directory.ServeStats
+	stats      ServeStats
 }
 
 // NewDaemon builds a daemon over an existing communicator (which
@@ -184,9 +183,9 @@ func NewDaemon(c *comm.Communicator, gen GenFunc, cfg Config) (*Daemon, error) {
 // carries the request's trace correlation (obs.TraceContext); when the
 // daemon's tail sampler is armed, a span tree is recorded for the
 // request and retained if the outcome is interesting.
-func (d *Daemon) Plan(ctx context.Context, req directory.PlanRequest) directory.PlanResponse {
+func (d *Daemon) Plan(ctx context.Context, req PlanRequest) PlanResponse {
 	if d == nil {
-		return directory.PlanResponse{ID: req.ID, Status: directory.PlanDraining,
+		return PlanResponse{ID: req.ID, Status: PlanDraining,
 			Error: "serve: nil daemon"}
 	}
 	start := d.cfg.Clock()
@@ -219,7 +218,7 @@ func (d *Daemon) beginRequest(ctx context.Context, wire string) (context.Context
 // trace ID on the response and, when tracing, closes the root span and
 // offers the span tree to the tail sampler.
 func (d *Daemon) endRequest(ctx context.Context, rt *obs.ReqTrace, root *obs.ReqSpan,
-	resp directory.PlanResponse, start time.Time) directory.PlanResponse {
+	resp PlanResponse, start time.Time) PlanResponse {
 	if id := obs.TraceFrom(ctx).TraceID; id != 0 {
 		resp.Trace = obs.FormatTraceID(id)
 	}
@@ -243,15 +242,15 @@ func (d *Daemon) endRequest(ctx context.Context, rt *obs.ReqTrace, root *obs.Req
 // tailDecision implements the tail-sampling policy: keep every errored,
 // shed, expired, or draining request, every served request slower than
 // the estimator's p99 planning cost, and (under TailAll) everything.
-func (d *Daemon) tailDecision(resp directory.PlanResponse, latency time.Duration) (keep bool, reason string) {
+func (d *Daemon) tailDecision(resp PlanResponse, latency time.Duration) (keep bool, reason string) {
 	switch {
 	case resp.Error != "":
 		return true, "error"
-	case resp.Status == directory.PlanShed:
+	case resp.Status == PlanShed:
 		return true, "shed"
-	case resp.Status == directory.PlanExpired:
+	case resp.Status == PlanExpired:
 		return true, "expired"
-	case resp.Status == directory.PlanDraining:
+	case resp.Status == PlanDraining:
 		return true, "draining"
 	}
 	d.mu.Lock()
@@ -268,14 +267,14 @@ func (d *Daemon) tailDecision(resp directory.PlanResponse, latency time.Duration
 
 // plan is the admission state machine behind Plan; every exit runs
 // through finish.
-func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time.Time) directory.PlanResponse {
+func (d *Daemon) plan(ctx context.Context, req PlanRequest, start time.Time) PlanResponse {
 	sizes, hash, err := materialize(req, d.cfg.MaxP)
 	if err == nil && sizes.N() != d.comm.N() {
 		err = fmt.Errorf("serve: daemon plans for %d processors, request describes %d",
 			d.comm.N(), sizes.N())
 	}
 	if err != nil {
-		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Error: err.Error()}, start)
+		return d.finish(ctx, PlanResponse{ID: req.ID, Error: err.Error()}, start)
 	}
 	deadline := start.Add(d.budget(req))
 	d.maybeRefreshGen(start)
@@ -284,7 +283,7 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 	if d.draining {
 		ra := d.cfg.DrainTimeout
 		d.mu.Unlock()
-		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Status: directory.PlanDraining,
+		return d.finish(ctx, PlanResponse{ID: req.ID, Status: PlanDraining,
 			RetryAfterMS: int64(ra / time.Millisecond)}, start)
 	}
 	key := flightKey{hash: hash, gen: d.curGen}
@@ -320,7 +319,7 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 		delete(d.flights, key)
 		ra := d.retryAfterLocked()
 		d.mu.Unlock()
-		return d.finish(ctx, directory.PlanResponse{ID: req.ID, Status: directory.PlanShed,
+		return d.finish(ctx, PlanResponse{ID: req.ID, Status: PlanShed,
 			RetryAfterMS: int64(ra / time.Millisecond)}, start)
 	}
 	d.stats.Admitted++
@@ -331,7 +330,7 @@ func (d *Daemon) plan(ctx context.Context, req directory.PlanRequest, start time
 }
 
 // budget clamps the client-supplied deadline into the daemon's window.
-func (d *Daemon) budget(req directory.PlanRequest) time.Duration {
+func (d *Daemon) budget(req PlanRequest) time.Duration {
 	b := time.Duration(req.DeadlineMS) * time.Millisecond
 	if b <= 0 {
 		b = d.cfg.DefaultDeadline
@@ -347,7 +346,7 @@ func (d *Daemon) budget(req directory.PlanRequest) time.Duration {
 // Followers coalesced onto a flight keep their own deadlines: a
 // short-deadline follower can expire while the flight is still worth
 // finishing for its leader.
-func (d *Daemon) await(ctx context.Context, fl *flight, id uint64, deadline time.Time, coalesced bool, start time.Time) directory.PlanResponse {
+func (d *Daemon) await(ctx context.Context, fl *flight, id uint64, deadline time.Time, coalesced bool, start time.Time) PlanResponse {
 	wait := deadline.Sub(d.cfg.Clock())
 	var timeout <-chan time.Time
 	if wait > 0 {
@@ -374,11 +373,11 @@ func (d *Daemon) await(ctx context.Context, fl *flight, id uint64, deadline time
 
 // expired builds the response for a request whose deadline passed
 // while it waited.
-func (d *Daemon) expired(id uint64) directory.PlanResponse {
+func (d *Daemon) expired(id uint64) PlanResponse {
 	d.mu.Lock()
 	ra := d.retryAfterLocked()
 	d.mu.Unlock()
-	return directory.PlanResponse{ID: id, Status: directory.PlanExpired,
+	return PlanResponse{ID: id, Status: PlanExpired,
 		RetryAfterMS: int64(ra / time.Millisecond)}
 }
 
@@ -404,10 +403,10 @@ func (d *Daemon) retryAfterLocked() time.Duration {
 // finish is the single exit point for every request: it folds the
 // outcome into the stats, metric, and flight-recorder surfaces, then
 // returns the response unchanged.
-func (d *Daemon) finish(ctx context.Context, resp directory.PlanResponse, start time.Time) directory.PlanResponse {
+func (d *Daemon) finish(ctx context.Context, resp PlanResponse, start time.Time) PlanResponse {
 	d.mu.Lock()
 	switch resp.Status {
-	case directory.PlanServed:
+	case PlanServed:
 		d.stats.Served++
 		switch resp.Health {
 		case comm.HealthOK.String():
@@ -417,11 +416,11 @@ func (d *Daemon) finish(ctx context.Context, resp directory.PlanResponse, start 
 		case comm.HealthDegraded.String():
 			d.stats.ServedDegraded++
 		}
-	case directory.PlanShed:
+	case PlanShed:
 		d.stats.Shed++
-	case directory.PlanExpired:
+	case PlanExpired:
 		d.stats.Expired++
-	case directory.PlanDraining:
+	case PlanDraining:
 		d.stats.Drained++
 	default:
 		d.stats.Rejected++
@@ -431,7 +430,7 @@ func (d *Daemon) finish(ctx context.Context, resp directory.PlanResponse, start 
 	trace := obs.TraceFrom(ctx).TraceID
 	latency := d.cfg.Clock().Sub(start)
 	d.tel.outcome(outcomeOf(resp))
-	if resp.Status == directory.PlanServed {
+	if resp.Status == PlanServed {
 		d.tel.latency(latency, trace)
 	}
 	d.cfg.Flight.Record("serve", flightEventOf(resp),
@@ -441,18 +440,18 @@ func (d *Daemon) finish(ctx context.Context, resp directory.PlanResponse, start 
 
 // flightEventOf maps a response to its constant flight-recorder event
 // name (constants only: the record path must not concatenate strings).
-func flightEventOf(resp directory.PlanResponse) string {
+func flightEventOf(resp PlanResponse) string {
 	switch resp.Status {
-	case directory.PlanServed, directory.PlanShed, directory.PlanExpired, directory.PlanDraining:
+	case PlanServed, PlanShed, PlanExpired, PlanDraining:
 		return resp.Status
 	}
 	return "rejected"
 }
 
 // outcomeOf maps a response to its metric outcome label.
-func outcomeOf(resp directory.PlanResponse) string {
+func outcomeOf(resp PlanResponse) string {
 	switch resp.Status {
-	case directory.PlanServed, directory.PlanShed, directory.PlanExpired, directory.PlanDraining:
+	case PlanServed, PlanShed, PlanExpired, PlanDraining:
 		return resp.Status
 	}
 	return "rejected"
@@ -524,7 +523,7 @@ func (d *Daemon) work(fl *flight) {
 		d.mu.Unlock()
 		d.tel.queueDepth(depth)
 		obs.Mark(fl.ctx, "serve", "codel_expired", "")
-		fl.complete(directory.PlanResponse{Status: directory.PlanExpired,
+		fl.complete(PlanResponse{Status: PlanExpired,
 			RetryAfterMS: int64(ra / time.Millisecond)})
 		return
 	}
@@ -541,17 +540,17 @@ func (d *Daemon) work(fl *flight) {
 	psp.End()
 	span.End()
 
-	var resp directory.PlanResponse
+	var resp PlanResponse
 	if err != nil {
-		resp = directory.PlanResponse{Error: err.Error()}
+		resp = PlanResponse{Error: err.Error()}
 	} else {
 		steps := 0
 		if r.Steps != nil {
 			steps = len(r.Steps.Steps)
 		}
-		resp = directory.PlanResponse{
+		resp = PlanResponse{
 			OK:          true,
-			Status:      directory.PlanServed,
+			Status:      PlanServed,
 			Health:      h.String(),
 			Generation:  fl.key.gen,
 			Algorithm:   r.Algorithm,
@@ -615,7 +614,7 @@ func (d *Daemon) Shutdown() int {
 				d.mu.Lock()
 				delete(d.flights, fl.key)
 				d.mu.Unlock()
-				fl.complete(directory.PlanResponse{Status: directory.PlanDraining,
+				fl.complete(PlanResponse{Status: PlanDraining,
 					RetryAfterMS: ra})
 				forced++
 			default:
@@ -648,9 +647,9 @@ func (d *Daemon) Health() comm.Health {
 }
 
 // Snapshot returns the daemon's counters and queue state.
-func (d *Daemon) Snapshot() directory.ServeStats {
+func (d *Daemon) Snapshot() ServeStats {
 	if d == nil {
-		return directory.ServeStats{Draining: true}
+		return ServeStats{Draining: true}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -663,10 +662,10 @@ func (d *Daemon) Snapshot() directory.ServeStats {
 
 // StatsResponse renders the counters as a serve_stats protocol
 // response.
-func (d *Daemon) StatsResponse() directory.PlanResponse {
+func (d *Daemon) StatsResponse() PlanResponse {
 	if d == nil {
-		return directory.PlanResponse{Status: directory.PlanDraining, Error: "serve: nil daemon"}
+		return PlanResponse{Status: PlanDraining, Error: "serve: nil daemon"}
 	}
 	st := d.Snapshot()
-	return directory.PlanResponse{OK: true, Health: d.Health().String(), Stats: &st}
+	return PlanResponse{OK: true, Health: d.Health().String(), Stats: &st}
 }

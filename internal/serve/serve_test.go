@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hetsched/internal/comm"
-	"hetsched/internal/directory"
 	"hetsched/internal/netmodel"
 )
 
@@ -60,8 +59,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestDaemonServesPlan(t *testing.T) {
 	d := newTestDaemon(t, 4, okSource(4), func() (uint64, error) { return 3, nil }, Config{})
-	resp := d.Plan(context.Background(), directory.PlanRequest{ID: 7, P: 4, Kind: directory.PatternUniform, Bytes: 1024})
-	if !resp.OK || resp.Status != directory.PlanServed {
+	resp := d.Plan(context.Background(), PlanRequest{ID: 7, P: 4, Kind: PatternUniform, Bytes: 1024})
+	if !resp.OK || resp.Status != PlanServed {
 		t.Fatalf("plan not served: %+v", resp)
 	}
 	if resp.ID != 7 {
@@ -87,7 +86,7 @@ func TestDaemonCacheAndGenerationInvalidation(t *testing.T) {
 	gen.Store(1)
 	d := newTestDaemon(t, 4, okSource(4), func() (uint64, error) { return gen.Load(), nil },
 		Config{GenInterval: time.Nanosecond}) // probe on every request
-	req := directory.PlanRequest{P: 4, Kind: directory.PatternRandom, Bytes: 2048, Seed: 5}
+	req := PlanRequest{P: 4, Kind: PatternRandom, Bytes: 2048, Seed: 5}
 
 	first := d.Plan(context.Background(), req)
 	if !first.OK || first.Cached {
@@ -130,11 +129,11 @@ func TestDaemonCoalescesDuplicates(t *testing.T) {
 		return perf.Clone(), nil
 	}
 	d := newTestDaemon(t, 4, source, nil, Config{Workers: 2, Queue: K})
-	req := directory.PlanRequest{P: 4, Kind: directory.PatternUniform, Bytes: 512,
+	req := PlanRequest{P: 4, Kind: PatternUniform, Bytes: 512,
 		DeadlineMS: 5000}
 
 	var wg sync.WaitGroup
-	resps := make([]directory.PlanResponse, K)
+	resps := make([]PlanResponse, K)
 	for i := 0; i < K; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -151,7 +150,7 @@ func TestDaemonCoalescesDuplicates(t *testing.T) {
 
 	served, coalesced := 0, 0
 	for i, resp := range resps {
-		if !resp.OK || resp.Status != directory.PlanServed {
+		if !resp.OK || resp.Status != PlanServed {
 			t.Fatalf("request %d not served: %+v", i, resp)
 		}
 		served++
@@ -182,13 +181,13 @@ func TestDaemonShedsWhenQueueFull(t *testing.T) {
 		return perf.Clone(), nil
 	}
 	d := newTestDaemon(t, 4, source, nil, Config{Workers: 1, Queue: 1})
-	mkReq := func(seed int64) directory.PlanRequest {
-		return directory.PlanRequest{P: 4, Kind: directory.PatternRandom, Bytes: 256,
+	mkReq := func(seed int64) PlanRequest {
+		return PlanRequest{P: 4, Kind: PatternRandom, Bytes: 256,
 			Seed: seed, DeadlineMS: 5000}
 	}
 
 	var wg sync.WaitGroup
-	var leaderResp, queuedResp directory.PlanResponse
+	var leaderResp, queuedResp PlanResponse
 	wg.Add(1)
 	go func() { defer wg.Done(); leaderResp = d.Plan(context.Background(), mkReq(1)) }()
 	waitFor(t, "leader to occupy the worker", func() bool { return d.Snapshot().InFlight == 1 })
@@ -197,7 +196,7 @@ func TestDaemonShedsWhenQueueFull(t *testing.T) {
 	waitFor(t, "second request to fill the queue", func() bool { return d.Snapshot().QueueDepth == 1 })
 
 	shed := d.Plan(context.Background(), mkReq(3))
-	if shed.OK || shed.Status != directory.PlanShed {
+	if shed.OK || shed.Status != PlanShed {
 		t.Fatalf("expected shed, got %+v", shed)
 	}
 	if shed.RetryAfterMS <= 0 {
@@ -228,19 +227,19 @@ func TestDaemonExpiresPastDeadline(t *testing.T) {
 	d := newTestDaemon(t, 4, source, nil, Config{Workers: 1, Queue: 4})
 
 	var wg sync.WaitGroup
-	var leaderResp directory.PlanResponse
+	var leaderResp PlanResponse
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		leaderResp = d.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternRandom,
+		leaderResp = d.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternRandom,
 			Seed: 1, DeadlineMS: 5000})
 	}()
 	waitFor(t, "leader to occupy the worker", func() bool { return d.Snapshot().InFlight == 1 })
 
 	// 1ms of budget cannot survive a pinned worker.
-	doomed := d.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternRandom,
+	doomed := d.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternRandom,
 		Seed: 2, DeadlineMS: 1})
-	if doomed.OK || doomed.Status != directory.PlanExpired {
+	if doomed.OK || doomed.Status != PlanExpired {
 		t.Fatalf("expected expired, got %+v", doomed)
 	}
 	if doomed.RetryAfterMS <= 0 {
@@ -269,12 +268,12 @@ func TestDaemonDrainAnswersEverything(t *testing.T) {
 
 	const queued = 4
 	var wg sync.WaitGroup
-	resps := make([]directory.PlanResponse, queued+1)
+	resps := make([]PlanResponse, queued+1)
 	for i := 0; i <= queued; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i] = d.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternRandom,
+			resps[i] = d.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternRandom,
 				Seed: int64(i), DeadlineMS: 30000})
 		}(i)
 	}
@@ -301,9 +300,9 @@ func TestDaemonDrainAnswersEverything(t *testing.T) {
 	servedCnt, drainedCnt := 0, 0
 	for i, resp := range resps {
 		switch resp.Status {
-		case directory.PlanServed:
+		case PlanServed:
 			servedCnt++
-		case directory.PlanDraining:
+		case PlanDraining:
 			drainedCnt++
 			if resp.RetryAfterMS <= 0 {
 				t.Fatalf("draining response %d has no retry-after: %+v", i, resp)
@@ -316,8 +315,8 @@ func TestDaemonDrainAnswersEverything(t *testing.T) {
 		t.Fatalf("served %d drained %d, want 1 and %d", servedCnt, drainedCnt, queued)
 	}
 
-	after := d.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternUniform})
-	if after.Status != directory.PlanDraining {
+	after := d.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternUniform})
+	if after.Status != PlanDraining {
 		t.Fatalf("post-drain request got %+v", after)
 	}
 	if d.Shutdown() != 0 {
@@ -330,8 +329,8 @@ func TestDaemonDrainAnswersEverything(t *testing.T) {
 // not-even-constructed case.
 func TestNilDaemonFailsClosed(t *testing.T) {
 	var d *Daemon
-	resp := d.Plan(context.Background(), directory.PlanRequest{P: 4})
-	if resp.Status != directory.PlanDraining || resp.Error == "" {
+	resp := d.Plan(context.Background(), PlanRequest{P: 4})
+	if resp.Status != PlanDraining || resp.Error == "" {
 		t.Fatalf("nil daemon plan: %+v", resp)
 	}
 	if d.Shutdown() != 0 {
@@ -350,10 +349,10 @@ func TestNilDaemonFailsClosed(t *testing.T) {
 
 func TestDaemonRejectsBadRequests(t *testing.T) {
 	d := newTestDaemon(t, 4, okSource(4), nil, Config{})
-	cases := []directory.PlanRequest{
-		{P: 1, Kind: directory.PatternUniform}, // too small
-		{P: 8, Kind: directory.PatternUniform}, // wrong processor count for this daemon
-		{P: 4, Kind: "mystery"},                // unknown pattern
+	cases := []PlanRequest{
+		{P: 1, Kind: PatternUniform}, // too small
+		{P: 8, Kind: PatternUniform}, // wrong processor count for this daemon
+		{P: 4, Kind: "mystery"},      // unknown pattern
 	}
 	for i, req := range cases {
 		resp := d.Plan(context.Background(), req)
@@ -404,10 +403,10 @@ func TestDaemonConcurrentMixedLoad(t *testing.T) {
 				if g == 0 && k%5 == 0 {
 					gen.Add(1)
 				}
-				resp := d.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternRandom,
+				resp := d.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternRandom,
 					Seed: int64(k % 4), DeadlineMS: 2000})
 				switch resp.Status {
-				case directory.PlanServed, directory.PlanShed, directory.PlanExpired:
+				case PlanServed, PlanShed, PlanExpired:
 				default:
 					unanswered.Add(1)
 				}

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"hetsched/internal/directory"
 	"hetsched/internal/faults"
+	"hetsched/internal/leakcheck"
 )
 
 func startTestServer(t *testing.T, d *Daemon, cfg ServerConfig) (*Server, string) {
@@ -31,12 +31,12 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	resp, err := c.Plan(context.Background(), directory.PlanRequest{ID: 11, P: 4, Kind: directory.PatternUniform,
+	resp, err := c.Plan(context.Background(), PlanRequest{ID: 11, P: 4, Kind: PatternUniform,
 		Bytes: 2048, DeadlineMS: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.OK || resp.Status != directory.PlanServed || resp.ID != 11 {
+	if !resp.OK || resp.Status != PlanServed || resp.ID != 11 {
 		t.Fatalf("round trip failed: %+v", resp)
 	}
 	if resp.Generation != 9 || resp.Health != "ok" {
@@ -60,7 +60,7 @@ func TestServerRejectsUnknownOpAndGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	send := func(line string) directory.PlanResponse {
+	send := func(line string) PlanResponse {
 		t.Helper()
 		if _, err := conn.Write([]byte(line + "\n")); err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestServerRejectsUnknownOpAndGarbage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := directory.ParsePlanResponse(buf[:n])
+		resp, err := ParsePlanResponse(buf[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestServerDrainServesConnectedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if resp, err := c.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternUniform,
+	if resp, err := c.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternUniform,
 		DeadlineMS: 2000}); err != nil || !resp.OK {
 		t.Fatalf("pre-drain request failed: %v %+v", err, resp)
 	}
@@ -115,15 +115,15 @@ func TestServerDrainServesConnectedClient(t *testing.T) {
 	// clean connection teardown once the server finished — never a hang.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := c.Plan(context.Background(), directory.PlanRequest{P: 4, Kind: directory.PatternUniform,
+		resp, err := c.Plan(context.Background(), PlanRequest{P: 4, Kind: PatternUniform,
 			DeadlineMS: 200})
 		if err != nil {
 			break // server wound the connection down; drain is finishing
 		}
-		if resp.Status != directory.PlanServed && resp.Status != directory.PlanDraining {
+		if resp.Status != PlanServed && resp.Status != PlanDraining {
 			t.Fatalf("mid-drain request resolved as %+v", resp)
 		}
-		if resp.Status == directory.PlanDraining {
+		if resp.Status == PlanDraining {
 			break
 		}
 	}
@@ -136,16 +136,16 @@ func TestServerDrainServesConnectedClient(t *testing.T) {
 }
 
 // TestServerDisconnectsSlowClient: a client that drains its socket at
-// a trickle cannot hold a serving goroutine hostage — the write
-// timeout severs the connection, and the server still winds down
-// promptly afterwards.
+// a trickle cannot hold a serving goroutine hostage — the write bound,
+// min(IdleTimeout, wire.WriteTimeout), severs the connection, and the
+// server still winds down promptly afterwards.
 func TestServerDisconnectsSlowClient(t *testing.T) {
 	d := newTestDaemon(t, 4, okSource(4), nil, Config{})
 	inj := faults.NewSlowClientInjector(faults.SlowClientConfig{
 		ChunkBytes: 1, Pause: 10 * time.Millisecond})
 	s, addr := startTestServer(t, d, ServerConfig{
-		WriteTimeout: 50 * time.Millisecond,
-		WrapConn:     inj.Wrap,
+		IdleTimeout: 50 * time.Millisecond,
+		WrapConn:    inj.Wrap,
 	})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestServerDisconnectsSlowClient(t *testing.T) {
 	}
 	defer conn.Close()
 	// A served response is a few hundred bytes: at 100 B/s it cannot
-	// beat a 50ms write timeout, so the server must cut us off.
+	// beat a 50ms write bound, so the server must cut us off.
 	if _, err := conn.Write([]byte(`{"op":"plan","p":4,"kind":"uniform","deadline_ms":2000}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +184,45 @@ func TestServerDisconnectsSlowClient(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server close hung after a slow client")
 	}
+}
+
+// TestServerDrainSlowReader: a client that reads its plan response at
+// 10 B/s must not hold Drain past its grace. The drain deadline caps
+// the response write as well as the next read, so Drain(200ms) returns
+// well before the 10 s write bound, with every goroutine joined.
+func TestServerDrainSlowReader(t *testing.T) {
+	leakcheck.Check(t, func() {
+		d := newTestDaemon(t, 4, okSource(4), nil, Config{})
+		inj := faults.NewSlowClientInjector(faults.SlowClientConfig{
+			ChunkBytes: 1, Pause: 100 * time.Millisecond})
+		s := NewServer(d, ServerConfig{WrapConn: inj.Wrap})
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(`{"op":"plan","p":4,"kind":"uniform","deadline_ms":2000}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		// Wait for the first trickled byte: the handler is now writing.
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
+		begin := time.Now()
+		if err := s.Drain(200 * time.Millisecond); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		if took := time.Since(begin); took > 2*time.Second {
+			t.Errorf("Drain(200ms) took %v with a slow-reading client", took)
+		}
+	})
 }
 
 func TestServerCloseIdempotentAndNilSafe(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hetsched/internal/calib"
-	"hetsched/internal/directory"
 	"hetsched/internal/obs"
 )
 
@@ -47,7 +46,7 @@ type Statusz struct {
 	InFlight   int    `json:"in_flight"`
 	Generation uint64 `json:"generation"`
 
-	Stats directory.ServeStats `json:"stats"`
+	Stats ServeStats `json:"stats"`
 
 	// CacheHitRatio is cache hits over admitted requests (0 when
 	// nothing was admitted yet).

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hetsched/internal/calib"
-	"hetsched/internal/directory"
 	"hetsched/internal/netmodel"
 	"hetsched/internal/obs"
 )
@@ -29,8 +28,8 @@ func tracedTestDaemon(t *testing.T, cfg Config) (*Daemon, *obs.FlightRecorder, *
 func TestStatuszSnapshot(t *testing.T) {
 	d, flight, tail := tracedTestDaemon(t, Config{Workers: 2, Queue: 8})
 	for i := 0; i < 3; i++ {
-		resp := d.Plan(context.Background(), directory.PlanRequest{
-			ID: uint64(i), P: 4, Kind: directory.PatternRandom, Bytes: 1024, Seed: int64(i)})
+		resp := d.Plan(context.Background(), PlanRequest{
+			ID: uint64(i), P: 4, Kind: PatternRandom, Bytes: 1024, Seed: int64(i)})
 		if !resp.OK {
 			t.Fatalf("request %d not served: %+v", i, resp)
 		}
@@ -74,8 +73,8 @@ func TestStatuszSnapshot(t *testing.T) {
 
 func TestStatuszRenderText(t *testing.T) {
 	d, _, _ := tracedTestDaemon(t, Config{})
-	resp := d.Plan(context.Background(), directory.PlanRequest{
-		ID: 1, P: 4, Kind: directory.PatternUniform, Bytes: 512})
+	resp := d.Plan(context.Background(), PlanRequest{
+		ID: 1, P: 4, Kind: PatternUniform, Bytes: 512})
 	if !resp.OK {
 		t.Fatalf("plan failed: %+v", resp)
 	}
@@ -95,8 +94,8 @@ func TestStatuszRenderText(t *testing.T) {
 
 func TestStatuszHandlers(t *testing.T) {
 	d, _, tail := tracedTestDaemon(t, Config{})
-	resp := d.Plan(context.Background(), directory.PlanRequest{
-		ID: 1, P: 4, Kind: directory.PatternUniform, Bytes: 512})
+	resp := d.Plan(context.Background(), PlanRequest{
+		ID: 1, P: 4, Kind: PatternUniform, Bytes: 512})
 	if !resp.OK {
 		t.Fatalf("plan failed: %+v", resp)
 	}
@@ -183,8 +182,8 @@ func TestTraceIDRidesTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	resp, err := cl.Plan(ctx, directory.PlanRequest{
-		ID: 1, P: 4, Kind: directory.PatternUniform, Bytes: 2048})
+	resp, err := cl.Plan(ctx, PlanRequest{
+		ID: 1, P: 4, Kind: PatternUniform, Bytes: 2048})
 	if err != nil || !resp.OK {
 		t.Fatalf("plan failed: %v %+v", err, resp)
 	}

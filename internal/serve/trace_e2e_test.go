@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hetsched/internal/comm"
-	"hetsched/internal/directory"
 	"hetsched/internal/exec"
 	"hetsched/internal/model"
 	"hetsched/internal/obs"
@@ -57,8 +56,8 @@ func TestEndToEndTraceCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	resp, err := cl.Plan(ctx, directory.PlanRequest{
-		ID: 1, P: n, Kind: directory.PatternUniform, Bytes: 1024})
+	resp, err := cl.Plan(ctx, PlanRequest{
+		ID: 1, P: n, Kind: PatternUniform, Bytes: 1024})
 	if err != nil || !resp.OK {
 		t.Fatalf("plan failed: %v %+v", err, resp)
 	}
